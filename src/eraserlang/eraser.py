@@ -99,6 +99,33 @@ def _pass_finite(word: Iterable, active: int) -> Optional[tuple]:
     return tuple(stack)
 
 
+def _kinds(word: Iterable) -> list[int]:
+    """The eraser index of each symbol, 0 for a letter."""
+    return [sym.index if isinstance(sym, Eraser) else 0 for sym in word]
+
+
+def _pipeline(kinds: list[int]) -> Optional[list[int]]:
+    """Run every stage over a word given by its _kinds: the positions of
+    the symbols that survive, in order, or None when an eraser starves.
+
+    Only the stages whose eraser occurs in the word run: every other
+    stage has no active eraser and passes its word through unchanged.
+    """
+    alive: Iterable[int] = range(len(kinds))
+    for active in sorted(set(kinds) - {0}):
+        stack: list[int] = []
+        push, pop = stack.append, stack.pop
+        for i in alive:
+            if kinds[i] != active:
+                push(i)
+            elif stack:
+                pop()
+            else:
+                return None
+        alive = stack
+    return list(alive)
+
+
 def _pass_profile(period: Iterable, active: int) -> tuple[int, tuple]:
     """Net effect (dig, pushed) of one period pass on a deep stack.
 
@@ -181,13 +208,15 @@ def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
     """Run passes for stages 1..stages over a finite word."""
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    _check_indices(word, stages)
-    current = word
-    for j in range(1, stages + 1):
-        current = _pass_finite(current, j)
-        if current is None:
-            return EvalOutcome.undefined()
-    return EvalOutcome.finite(current)
+    kinds = _kinds(word)
+    top = max(kinds, default=0)
+    if top > stages:
+        raise MalformedInput(
+            f"eraser index {top} exceeds stage bound {stages}")
+    alive = _pipeline(kinds)
+    if alive is None:
+        return EvalOutcome.undefined()
+    return EvalOutcome.finite(tuple(map(word.__getitem__, alive)))
 
 
 def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:

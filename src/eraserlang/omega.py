@@ -8,13 +8,10 @@ letter 0^k 1 padded with vanishing material.  The central facts made
 checkable here at desk scale:
 
 * finite words have at most one factorization into factors (the factor
-  language is a code),
-* prefixes of the omega power are recognized by a split into complete
-  factors plus a completable residue, where completability reduces to
-  stage one never starving an eraser: a starved index-1 eraser can
-  never be fed (the pass runs left to right), while survivors of stage
-  one, whatever their stages, are erasable by appended index-1 erasers
-  before any later stage runs,
+  language is a code): the factor separators are exactly the letters
+  that survive the stage pipeline,
+* prefixes of the omega power are exactly the decodable words on which
+  stage one never starves an eraser,
 * ultimately periodic words can be certified inside the omega power by
   a factorization lasso,
 * intersecting the omega power with an order-p block stream gives
@@ -22,113 +19,32 @@ checkable here at desk scale:
   prefix,
 * the factor language is enumerable (length order, then 0 < 1 < a < b),
   which yields the pairing decider for index streams.
-
-The membership caches below are plain dicts: safe to share between
-concurrent readers under the interpreter lock, grown by whichever
-caller gets there first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize, up_prefix
-from .eraser import _pass_finite, staged_erase_up
-from .staged import vanishes
+from .eraser import _kinds, _pass_finite, _pipeline, staged_erase_up
 from .coding import _OUT, _scan_step, decode, decode_up, encode, in_block_stream
-
-_vanishes_cache: dict[str, bool] = {}
-_factor_cache: dict[str, bool] = {}
-_first_pass_cache: dict[StagedWord, Optional[StagedWord]] = {}
-_staged_vanish_cache: dict[tuple[StagedWord, int], bool] = {}
-_staged_factor_cache: dict[tuple[StagedWord, int], bool] = {}
-
-
-def clear_caches() -> None:
-    _vanishes_cache.clear()
-    _factor_cache.clear()
-    _first_pass_cache.clear()
-    _staged_vanish_cache.clear()
-    _staged_factor_cache.clear()
 
 
 # ---------------------------------------------------------------- pads
 
 def vanishes_coded(word: str) -> bool:
     """Does the word decode to a staged word that erases to nothing?"""
-    hit = _vanishes_cache.get(word)
-    if hit is None:
-        hit = _compute_vanishes(word)
-        _vanishes_cache[word] = hit
-    return hit
-
-
-def _compute_vanishes(word: str) -> bool:
     try:
         res = decode(word)
     except MalformedInput:
         return False
-    if res.dangling:
-        return False
-    return _erases_to_nothing(res.symbols)
-
-
-def _top_index(symbols) -> int:
-    return max((s.index for s in symbols if isinstance(s, Eraser)), default=0)
-
-
-def _erases_to_nothing(symbols: StagedWord) -> bool:
-    current = symbols
-    for j in range(1, _top_index(symbols) + 1):
-        current = _pass_finite(current, j)
-        if current is None:
-            return False
-    return current == ()
-
-
-def _first_pass(symbols: StagedWord) -> Optional[StagedWord]:
-    """Stage-one survivors, or None when an index-1 eraser starves.
-
-    Stage one decides extendability on its own.  A starved index-1
-    eraser can never be fed from the right, so its failure is final.
-    Everything that survives stage one, erasers included, can still be
-    popped there by appended index-1 erasers, which empties every later
-    stage before it runs.
-    """
-    if symbols in _first_pass_cache:
-        return _first_pass_cache[symbols]
-    hit = _pass_finite(symbols, 1)
-    _first_pass_cache[symbols] = hit
-    return hit
+    return not res.dangling and _pipeline(_kinds(res.symbols)) == []
 
 
 # ------------------------------------------------------------- factors
-
-def is_factor(word: str) -> bool:
-    """Membership in the factor language (pad 0)^* (pad 1)."""
-    hit = _factor_cache.get(word)
-    if hit is None:
-        hit = _compute_factor(word)
-        _factor_cache[word] = hit
-    return hit
-
-
-def _compute_factor(w: str) -> bool:
-    n = len(w)
-    if n == 0 or w[n - 1] != "1":
-        return False
-    # reach[i]: w[:i] splits into complete (pad 0) blocks
-    reach = [False] * n
-    reach[0] = True
-    for j in range(1, n):
-        if w[j - 1] == "0":
-            reach[j] = any(reach[i] and vanishes_coded(w[i:j - 1])
-                           for i in range(j))
-    return any(reach[i] and vanishes_coded(w[i:n - 1]) for i in range(n))
-
 
 @dataclass(frozen=True, slots=True)
 class Factorization:
@@ -141,78 +57,64 @@ class Factorization:
     cuts: Optional[tuple[int, ...]]
 
 
+_NO_PARSE = Factorization(0, None)
+
+
 def factorize(word: str) -> Factorization:
-    n = len(word)
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for j in range(1, n + 1):
-        total = 0
-        for i in range(j):
-            if ways[i] and is_factor(word[i:j]):
-                total += ways[i]
-        ways[j] = total
-    if ways[n] != 1:
-        return Factorization(ways[n], None)
-    cuts = [n]
-    j = n
-    while j > 0:
-        # uniqueness forces a single contributing split at every level
-        j = next(i for i in range(j) if ways[i] and is_factor(word[i:j]))
-        cuts.append(j)
-    return Factorization(1, tuple(reversed(cuts)))
+    """Factor decomposition read off one pipeline run of the decoded word.
+
+    In a factor stream each pad erases itself at every stage without
+    reaching past the letter before it: a pass pops only what the pad
+    itself pushed, so the pad's stages run as if it stood alone.  The
+    letters that survive the whole pipeline are therefore exactly the
+    separators, and conversely a surviving letter shields everything to
+    its left, so the stretches between survivors are pads.  The word is
+    a stream iff no eraser starves, every survivor is a letter and the
+    last symbol is a surviving 1; the cuts fall after each surviving 1,
+    so there is never more than one decomposition.
+    """
+    if not word:
+        return Factorization(1, (0,))
+    if word[-1] != "1":  # so the word cannot end inside a code
+        return _NO_PARSE
+    try:
+        res = decode(word)
+    except MalformedInput:
+        return _NO_PARSE
+    kinds = _kinds(res.symbols)
+    alive = _pipeline(kinds)
+    # no starved eraser, only letters survive, and the last one does
+    if (alive is None or any(kinds[i] for i in alive)
+            or alive[-1:] != [len(kinds) - 1]):
+        return _NO_PARSE
+    ends = list(accumulate(k + 2 if k else 1 for k in kinds))
+    return Factorization(1, (0,) + tuple(ends[i] for i in alive
+                                         if res.symbols[i] == 1))
+
+
+def is_factor(word: str) -> bool:
+    """Membership in the factor language (pad 0)^* (pad 1): a stream
+    whose only cut is the end."""
+    return len(word) > 0 and factorize(word).cuts == (0, len(word))
 
 
 # ------------------------------------------------------ viable prefixes
 
-def _pad_prefix(t: str, p: Optional[int] = None) -> bool:
-    """Is t a prefix of some pad?  t may stop in the middle of a code.
+def viable_prefix(word: str) -> bool:
+    """Is the word a prefix of some element of the omega power?
 
-    With p set, completion codes are capped at index p (the order-p
-    block stream alphabet); the caller guarantees the codes already in
-    t respect the cap.  Without a cap a dangling code never hurts: it
-    completes to an index >= 2 eraser, plain content for stage one.
-    Under p = 1 the forced index-1 completion must find a survivor.
+    Exactly when it decodes, a dangling code allowed, and stage one never
+    starves.  A starved index-1 eraser can never be fed, since the pass
+    runs left to right.  Otherwise the dangling code completes to an
+    index >= 2 eraser, plain content for stage one, and one appended
+    index-1 eraser per stage-one survivor empties stage one before any
+    later stage runs: the word becomes a pad, and a 1 closes the factor.
     """
     try:
-        res = decode(t)
+        res = decode(word)
     except MalformedInput:
         return False
-    survivors = _first_pass(res.symbols)
-    if survivors is None:
-        return False
-    if not res.dangling:
-        return True
-    betas = len(res.dangling) - 1
-    if p is None or p >= 2:
-        return True
-    return betas <= 1 and len(survivors) >= 1
-
-
-def _member_prefix(r: str, p: Optional[int] = None) -> bool:
-    """Is r a prefix of a single factor?"""
-    m = len(r)
-    blocks = [False] * (m + 1)
-    blocks[0] = True
-    for j in range(1, m + 1):
-        if r[j - 1] == "0":
-            blocks[j] = any(blocks[i] and vanishes_coded(r[i:j - 1])
-                            for i in range(j))
-    return any(blocks[i] and _pad_prefix(r[i:], p) for i in range(m + 1))
-
-
-def _viable(word: str, p: Optional[int]) -> bool:
-    n = len(word)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for j in range(1, n + 1):
-        reach[j] = any(reach[i] and is_factor(word[i:j]) for i in range(j))
-    return any(reach[i] and _member_prefix(word[i:], p)
-               for i in range(n, -1, -1))
-
-
-def viable_prefix(word: str) -> bool:
-    """Is the word a prefix of some element of the omega power?"""
-    return _viable(word, None)
+    return _pass_finite(res.symbols, 1) is not None
 
 
 # ----------------------------------------------------------- omega words
@@ -236,49 +138,28 @@ class LassoVerdict:
 
 
 def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
-    """Search for a factorization lasso within bound period copies."""
+    """Search for a factorization lasso within bound period copies.
+
+    w[p1:p2] is a stream after the stream w[:p1] exactly when p1 is a
+    cut of w[:p2], since factorizations are unique.  A lasso makes every
+    prefix of the word viable, so a word that is not viable has none.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     ulen, plen = len(x.prefix), len(x.period)
     w = up_prefix(x, ulen + bound * plen)
     n = len(w)
-    reach = [False] * (n + 1)
-    parent: dict[int, int] = {}
-    reach[0] = True
-    for j in range(1, n + 1):
-        for i in range(j):
-            if reach[i] and is_factor(w[i:j]):
-                reach[j] = True
-                parent[j] = i
-                break
-    for p1 in range(ulen, n + 1):
-        if not reach[p1]:
-            continue
-        inner = [False] * (n + 1)
-        inner[p1] = True
-        ipar: dict[int, int] = {}
-        for j in range(p1 + 1, n + 1):
-            for i in range(p1, j):
-                if inner[i] and is_factor(w[i:j]):
-                    inner[j] = True
-                    ipar[j] = i
-                    break
-        for p2 in range(p1 + plen, n + 1, plen):
-            if not inner[p2]:
-                continue
-            cuts = [p2]
-            j = p2
-            while j > p1:
-                j = ipar[j]
-                cuts.append(j)
-            j = p1
-            while j > 0:
-                j = parent[j]
-                cuts.append(j)
-            return LassoVerdict("yes", loop_start=p1, loop_length=p2 - p1,
-                                factor_cuts=tuple(reversed(cuts)))
     if not viable_prefix(w):
         return LassoVerdict("no")
+    cuts_upto: dict[int, Optional[tuple[int, ...]]] = {}
+    for p1 in range(ulen, n + 1):
+        for p2 in range(p1 + plen, n + 1, plen):
+            if p2 not in cuts_upto:
+                cuts_upto[p2] = factorize(w[:p2]).cuts
+            cuts = cuts_upto[p2]
+            if cuts is not None and p1 in cuts:
+                return LassoVerdict("yes", loop_start=p1,
+                                    loop_length=p2 - p1, factor_cuts=cuts)
     return LassoVerdict("unknown", bound=bound)
 
 
@@ -309,87 +190,34 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 
 # ------------------------------------------------- intersection identity
 
-def _rp_prefix(word: str, p: int) -> bool:
-    """Is the word a prefix of some order-p block stream?"""
-    state = _OUT
-    for ch in word:
-        state = _scan_step(state, ch, p)
-        if state is None:
-            return False
-    return True
-
-
-def _rp_prefixes(p: int, n: int) -> Iterator[str]:
-    """Every prefix of an order-p block stream, up to length n.
+def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
+    """Every viable prefix of an order-p block stream, up to length n.
 
     Every live scanner state can be completed to a full stream, so the
-    prefixes are exactly the words the scanner survives.
+    walk follows the scanner.  It carries the stage-one depth (the
+    survivor count) along, which is all viable_prefix asks about: no
+    index-1 eraser may meet depth 0.  Under p = 1 a dangling code can
+    only complete to an index-1 eraser, so it needs depth 1 or more.
+    Viability is prefix closed, so a word that fails it ends its branch.
     """
-    stack = [("", _OUT)]
+    stack = [("", _OUT, 0)]
     while stack:
-        w, state = stack.pop()
+        w, state, depth = stack.pop()
         yield w
         if len(w) == n:
             continue
         for ch in "01ab":
             nxt = _scan_step(state, ch, p)
-            if nxt is not None:
-                stack.append((w + ch, nxt))
-
-
-def _staged_vanishes(w: StagedWord, p: int) -> bool:
-    key = (w, p)
-    hit = _staged_vanish_cache.get(key)
-    if hit is None:
-        hit = vanishes(w, p)
-        _staged_vanish_cache[key] = hit
-    return hit
-
-
-def _staged_factor(w: StagedWord, p: int) -> bool:
-    key = (w, p)
-    hit = _staged_factor_cache.get(key)
-    if hit is None:
-        hit = _compute_staged_factor(w, p)
-        _staged_factor_cache[key] = hit
-    return hit
-
-
-def _compute_staged_factor(w: StagedWord, p: int) -> bool:
-    n = len(w)
-    if n == 0 or w[n - 1] != 1:
-        return False
-    reach = [False] * n
-    reach[0] = True
-    for j in range(1, n):
-        if w[j - 1] == 0:
-            reach[j] = any(reach[i] and _staged_vanishes(w[i:j - 1], p)
-                           for i in range(j))
-    return any(reach[i] and _staged_vanishes(w[i:n - 1], p) for i in range(n))
-
-
-def _staged_member_prefix(r: StagedWord, p: int) -> bool:
-    m = len(r)
-    blocks = [False] * (m + 1)
-    blocks[0] = True
-    for j in range(1, m + 1):
-        if r[j - 1] == 0:
-            blocks[j] = any(blocks[i] and _staged_vanishes(r[i:j - 1], p)
-                            for i in range(j))
-    return any(blocks[i] and _first_pass(r[i:]) is not None
-               for i in range(m + 1))
-
-
-def _staged_viable(word: StagedWord, p: int) -> bool:
-    """Prefix of the omega power built over the p-stage alphabet."""
-    n = len(word)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for j in range(1, n + 1):
-        reach[j] = any(reach[i] and _staged_factor(word[i:j], p)
-                       for i in range(j))
-    return any(reach[i] and _staged_member_prefix(word[i:], p)
-               for i in range(n, -1, -1))
+            if nxt is None:
+                continue
+            if nxt != _OUT:  # inside a code
+                if p == 1 and depth == 0:
+                    continue
+                stack.append((w + ch, nxt, depth))
+            elif state != 1:  # a letter or an index >= 2 eraser
+                stack.append((w + ch, nxt, depth + 1))
+            elif depth:  # an index-1 eraser
+                stack.append((w + ch, nxt, depth - 1))
 
 
 def _staged_by_cost(budget: int) -> Iterator[tuple[StagedWord, int]]:
@@ -409,18 +237,19 @@ def _staged_by_cost(budget: int) -> Iterator[tuple[StagedWord, int]]:
 def _viable_staged_words(p: int, budget: int
                          ) -> Iterator[tuple[StagedWord, int]]:
     """Staged viable prefixes over indices up to p within the coded-length
-    budget; extensions of non-viable words are pruned away."""
-    stack: list[tuple[StagedWord, int]] = [((), 0)]
+    budget, found as on the coded side by carrying the stage-one depth;
+    extensions of non-viable words are pruned away."""
+    stack: list[tuple[StagedWord, int, int]] = [((), 0, 0)]
     while stack:
-        word, cost = stack.pop()
-        if not _staged_viable(word, p):
-            continue
+        word, cost, depth = stack.pop()
         yield word, cost
         if cost + 1 <= budget:
-            stack.append((word + (0,), cost + 1))
-            stack.append((word + (1,), cost + 1))
-        for j in range(1, min(p, budget - cost - 2) + 1):
-            stack.append((word + (Eraser(j),), cost + j + 2))
+            stack.append((word + (0,), cost + 1, depth + 1))
+            stack.append((word + (1,), cost + 1, depth + 1))
+        if depth and cost + 3 <= budget:
+            stack.append((word + (Eraser(1),), cost + 3, depth - 1))
+        for j in range(2, min(p, budget - cost - 2) + 1):
+            stack.append((word + (Eraser(j),), cost + j + 2, depth + 1))
 
 
 def verify_intersection_identity(p: int, n: int,
@@ -432,7 +261,7 @@ def verify_intersection_identity(p: int, n: int,
         raise ValueError("block order must be >= 1")
     if n < 0:
         raise ValueError("length bound must be >= 0")
-    intersection = {w for w in _rp_prefixes(p, n) if _viable(w, p)}
+    intersection = set(_viable_rp_prefixes(p, n))
     image = set()
     # budget n+3: a word over the length limit still contributes
     # mid-code prefixes of length up to n.  The worst case is a stop
@@ -487,7 +316,7 @@ def _build_pads(upto: int) -> None:
         # lengths can be skipped outright
         if len(word) % 2:
             continue
-        if _erases_to_nothing(word):
+        if _pipeline(_kinds(word)) == []:
             rows[cost].append(encode(word))
     for row in rows.values():
         row.sort()
@@ -499,7 +328,7 @@ def _build_pads(upto: int) -> None:
 def _extend_factors(upto: int) -> None:
     """Grow the length-ordered factor enumeration to words of length upto.
 
-    Built constructively from pads, unlike is_factor's split search, so
+    Built constructively from pads, unlike is_factor's pipeline run, so
     the two routes can cross-check each other.
     """
     global _factors_upto
@@ -561,7 +390,13 @@ def factor_words(max_len: int) -> list[str]:
 
 def pairing_consistent(sigma: str, nu: str) -> bool:
     """Can (sigma, nu) be extended to a paired stream where each block
-    0^k 1 of sigma is matched in nu by the k-th factor?"""
+    0^k 1 of sigma is matched in nu by the k-th factor?
+
+    Past the factors of sigma's complete blocks, nu only has to be a
+    viable prefix.  Any viable prefix completes to a single pad, which
+    extends to factors of unbounded length, hence unbounded index, so
+    the open block of sigma can always grow to match.
+    """
     for i, ch in enumerate(sigma):
         if ch not in "01":
             raise MalformedInput(
@@ -582,23 +417,4 @@ def pairing_consistent(sigma: str, nu: str) -> bool:
     common = min(len(nu), len(expected))
     if nu[:common] != expected[:common]:
         return False
-    if len(nu) <= len(expected):
-        return True
-    return _stream_consistent(nu[len(expected):], zeros)
-
-
-def _stream_consistent(x: str, tmin: int) -> bool:
-    """Is x a prefix of a factor stream whose first index is >= tmin?
-
-    A prefix of a single factor always qualifies: any factor prefix
-    extends to factors of unbounded length, hence unbounded index.
-    """
-    if _member_prefix(x):
-        return True
-    for j in range(1, len(x) + 1):
-        head = x[:j]
-        if is_factor(head):
-            idx = factor_index(head)
-            if idx is not None and idx >= tmin and viable_prefix(x[j:]):
-                return True
-    return False
+    return viable_prefix(nu[len(expected):])

@@ -17,9 +17,9 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .words import Eraser, MalformedInput, StagedWord
-from .eraser import staged_erase
+from .eraser import _kinds, _pipeline
 
-_derivable_cache: dict[StagedWord, bool] = {}
+_S, _E = 0, 1  # grammar symbols on the parse stack: the nonterminal, E1
 
 
 def vanishes_by_grammar(word: StagedWord) -> bool:
@@ -36,23 +36,22 @@ def vanishes_by_grammar(word: StagedWord) -> bool:
 
 
 def _derivable(w: StagedWord) -> bool:
-    # S -> a S E S | empty, resolved by the position of the matching eraser
-    hit = _derivable_cache.get(w)
-    if hit is not None:
-        return hit
-    if len(w) == 0:
-        result = True
-    elif len(w) % 2 == 1 or isinstance(w[0], Eraser):
-        result = False
-    else:
-        result = False
-        for m in range(1, len(w)):
-            if (isinstance(w[m], Eraser)
-                    and _derivable(w[1:m]) and _derivable(w[m + 1:])):
-                result = True
-                break
-    _derivable_cache[w] = result
-    return result
+    """Predictive LL(1) parse of S -> a S E S | empty on an explicit stack.
+
+    The stack holds the grammar symbols still to be derived, top last.
+    Whenever a symbol is read its top is S, because every E is pushed
+    with an S above it; one symbol of lookahead then picks the rule.
+    """
+    stack = [_S]
+    for sym in w:
+        if isinstance(sym, Eraser):
+            stack.pop()  # S -> empty
+            if not stack:
+                return False
+            stack.pop()  # match E
+        else:
+            stack += (_E, _S)  # S -> a S E S, a matched
+    return len(stack) == 1  # S -> empty at the end of input
 
 
 def vanishes(word: StagedWord, stages: int) -> bool:
@@ -63,10 +62,8 @@ def vanishes(word: StagedWord, stages: int) -> bool:
     """
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    if any(isinstance(s, Eraser) and s.index > stages for s in word):
-        return False
-    out = staged_erase(word, stages)
-    return out.is_finite and out.word == ()
+    kinds = _kinds(word)
+    return max(kinds, default=0) <= stages and _pipeline(kinds) == []
 
 
 def _alphabet(stages: int) -> list:

@@ -1,0 +1,79 @@
+"""Deep words, large stage counts and many queries stay cheap.
+
+The deciders keep no state between calls and recurse nowhere, so their
+cost follows the word alone: nesting depth does not touch the
+interpreter's recursion limit, stages without an eraser in the word
+cost nothing, and a run of queries leaves no memory behind.
+"""
+
+import gc
+import random
+import sys
+import time
+
+from eraserlang import (
+    Eraser,
+    factorize,
+    is_factor,
+    staged_erase,
+    vanishes,
+    vanishes_by_grammar,
+    vanishes_coded,
+    viable_prefix,
+)
+from eraserlang.cli import main
+
+E1 = Eraser(1)
+
+
+def test_grammar_decides_deep_nesting_without_recursion():
+    depth = 3000
+    assert depth > sys.getrecursionlimit() // 2
+    member = (0,) * depth + (E1,) * depth
+    assert vanishes_by_grammar(member)
+    assert vanishes(member, 1)
+    assert not vanishes_by_grammar(member[:-1])
+    assert not vanishes_by_grammar((0,) + member[1:] + (E1,))
+
+
+def test_stages_without_erasers_cost_nothing():
+    t0 = time.perf_counter()
+    out = staged_erase((0,), 10 ** 6)
+    elapsed = time.perf_counter() - t0
+    assert out.is_finite and out.word == (0,)
+    assert elapsed < 0.1
+
+
+def test_cli_stage_count_costs_nothing(capsys):
+    t0 = time.perf_counter()
+    code = main(["staged-erase", "0", "--k", "1000000"])
+    elapsed = time.perf_counter() - t0
+    assert (code, capsys.readouterr().out) == (0, "finite: 0\n")
+    assert elapsed < 0.1
+
+
+def _query_everything(coded, staged):
+    for w in coded:
+        factorize(w)
+        is_factor(w)
+        viable_prefix(w)
+        vanishes_coded(w)
+    for w in staged:
+        vanishes_by_grammar(w)
+
+
+def test_queries_retain_no_memory():
+    rng = random.Random(2024)
+    # lengths past every exhaustive sweep of the suite, so that no
+    # earlier test has seen these words
+    coded = list({"".join(rng.choice("01ab") for _ in range(12))
+                  for _ in range(10_000)})
+    staged = list({tuple(rng.choice((0, 1, E1)) for _ in range(12))
+                   for _ in range(10_000)})
+    assert len(coded) + len(staged) > 19_000
+    _query_everything(coded[:100], staged[:100])
+    gc.collect()
+    before = sys.getallocatedblocks()
+    _query_everything(coded, staged)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 500
