@@ -3,8 +3,8 @@
 One subcommand per library operation, deterministic text output.
 Membership queries print "true" or "false"; evaluations print
 "undefined", "finite: <word>" or "infinite: <prefix>|<period>".
-Exit status 0 on success, 2 on malformed input (diagnostic on the
-error stream), 1 on internal failure.
+Exit status 0 on success, 2 on malformed input or an unwritable report
+path (diagnostic on the error stream), 1 on internal failure.
 """
 
 from __future__ import annotations
@@ -195,8 +195,13 @@ def _run_dcheck(args) -> int:
 
 
 def _run_verify_rp(args) -> int:
-    return _bool_line(
-        verify_intersection_identity(args.p, args.n, args.report))
+    try:
+        ok = verify_intersection_identity(args.p, args.n, args.report)
+    except OSError as exc:
+        print(f"cannot write report {args.report}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return _bool_line(ok)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -197,13 +197,6 @@ def erase_up(x: UPWord) -> EvalOutcome:
     return _erase_up_stage(x, active)
 
 
-def _check_indices(symbols: Iterable, stages: int) -> None:
-    for sym in symbols:
-        if isinstance(sym, Eraser) and sym.index > stages:
-            raise MalformedInput(
-                f"eraser index {sym.index} exceeds stage bound {stages}")
-
-
 def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
     """Run passes for stages 1..stages over a finite word."""
     if stages < 1:
@@ -225,14 +218,25 @@ def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
     Each stage feeds its outcome into the next: Finite results continue
     with finite passes, Infinite results with periodic passes.  Undefined
     is absorbing.
+
+    A stage whose eraser is not in x changes only the certificate, the
+    same way at every such stage, so only stage 1 (it normalizes x), the
+    stages of the erasers in x and, when needed, the last stage run.
     """
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    _check_indices(tuple(x.prefix) + tuple(x.period), stages)
+    used = _eraser_indices(tuple(x.prefix) + tuple(x.period))
+    top = max(used, default=0)
+    if top > stages:
+        raise MalformedInput(
+            f"eraser index {top} exceeds stage bound {stages}")
+    run = sorted(used | {1})
+    if run[-1] < stages:
+        run.append(stages)
     word: Optional[StagedWord] = None
     up: Optional[UPWord] = x
     cert = None
-    for j in range(1, stages + 1):
+    for j in run:
         if up is not None:
             out = _erase_up_stage(up, j)
         else:

@@ -234,49 +234,47 @@ def _staged_by_cost(budget: int) -> Iterator[tuple[StagedWord, int]]:
             stack.append((word + (Eraser(j),), cost + j + 2))
 
 
-def _viable_staged_words(p: int, budget: int
-                         ) -> Iterator[tuple[StagedWord, int]]:
-    """Staged viable prefixes over indices up to p within the coded-length
-    budget, found as on the coded side by carrying the stage-one depth;
-    extensions of non-viable words are pruned away."""
-    stack: list[tuple[StagedWord, int, int]] = [((), 0, 0)]
+def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
+    """Every prefix of length up to n of the encoding of a staged viable
+    prefix over indices up to p, each once.
+
+    Each node carries its encoding and its stage-one depth.  A staged
+    word coded longer than n adds no prefix of length up to n but a stop
+    inside its last code, and its parent yields that stop.
+    """
+    codes = [encode((Eraser(j),)) for j in range(1, min(p, n) + 1)]
+    # the proper nonempty prefixes of the longest code hold every stop
+    stops = [codes[-1][:i] for i in range(1, len(codes[-1]))] if codes else []
+    stack = [("", 0)]
     while stack:
-        word, cost, depth = stack.pop()
-        yield word, cost
-        if cost + 1 <= budget:
-            stack.append((word + (0,), cost + 1, depth + 1))
-            stack.append((word + (1,), cost + 1, depth + 1))
-        if depth and cost + 3 <= budget:
-            stack.append((word + (Eraser(1),), cost + 3, depth - 1))
-        for j in range(2, min(p, budget - cost - 2) + 1):
-            stack.append((word + (Eraser(j),), cost + j + 2, depth + 1))
+        enc, depth = stack.pop()
+        yield enc
+        room = n - len(enc)
+        if not room:
+            continue
+        if depth or p >= 2:  # some eraser may follow
+            yield from (enc + stop for stop in stops[:room])
+        stack.append((enc + "0", depth + 1))
+        stack.append((enc + "1", depth + 1))
+        if room >= 3:  # the code of Eraser(j) is j + 2 long
+            if depth:
+                stack.append((enc + codes[0], depth - 1))
+            for code in codes[1:room - 2]:
+                stack.append((enc + code, depth + 1))
 
 
 def verify_intersection_identity(p: int, n: int,
                                  report_path: Optional[str] = None) -> bool:
     """Compare, for every length up to n, prefixes of the intersection
     (omega power meets order-p block streams) against encodings of staged
-    viable prefixes over indices up to p, mid-code stops included."""
+    viable prefixes over indices up to p, mid-code stops included; both
+    sides are walked only up to length n."""
     if p < 1:
         raise ValueError("block order must be >= 1")
     if n < 0:
         raise ValueError("length bound must be >= 0")
     intersection = set(_viable_rp_prefixes(p, n))
-    image = set()
-    # budget n+3: a word over the length limit still contributes
-    # mid-code prefixes of length up to n.  The worst case is a stop
-    # right after the opening letter of a code whose cheapest usable
-    # completion is an index-2 eraser (four coded letters, one kept)
-    for word, cost in _viable_staged_words(p, n + 3):
-        if cost <= n:
-            image.add(encode(word))
-        last = word[-1] if word else None
-        if isinstance(last, Eraser):
-            base = encode(word[:-1])
-            for i in range(last.index + 1):
-                partial = base + "a" + "b" * i
-                if len(partial) <= n:
-                    image.add(partial)
+    image = set(_encoded_staged_prefixes(p, n))
     ok = intersection == image
     if report_path is not None:
         lines = [

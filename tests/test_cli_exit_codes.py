@@ -1,0 +1,92 @@
+"""The CLI answers every input with exit 0 or 2, never a traceback.
+
+Exit 2 comes with one diagnostic line; exit 1 is reserved for internal
+failures, so user input must never produce it.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from eraserlang.cli import main
+
+
+def run(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# ------------------------------------------------------------ report path
+
+def test_unwritable_report_path_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "verify-rp", "--p", "1", "--n", "3",
+                         "--report", str(missing))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(missing) in err
+
+
+def test_report_path_that_is_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "verify-rp", "--p", "1", "--n", "3",
+                         "--report", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_writable_report_path_still_works(capsys, tmp_path):
+    path = tmp_path / "report.txt"
+    assert run(capsys, "verify-rp", "--p", "1", "--n", "3",
+               "--report", str(path)) == (0, "true\n", "")
+    assert path.read_text().splitlines()[1] == "result: PASS"
+
+
+# -------------------------------------------------------- any word, 0 or 2
+
+TOKENS = ["0", "1", "E1", "E2", "E3", "a", "b", "|", "x", "E0"]
+words = st.builds(lambda toks, sep: sep.join(toks),
+                  st.lists(st.sampled_from(TOKENS), max_size=8),
+                  st.sampled_from([" ", ""]))
+small = st.integers(1, 4).map(str)
+
+# every subcommand that takes a word, with its numeric options
+COMMANDS = st.one_of(
+    st.tuples(st.just("erase"), words),
+    st.tuples(st.just("erase"), words, st.just("--up")),
+    st.tuples(st.just("staged-erase"), words, st.just("--k"), small),
+    st.tuples(st.just("staged-erase"), words, st.just("--k"), small,
+              st.just("--up")),
+    st.tuples(st.just("member"), st.just("l1-grammar"), words),
+    st.tuples(st.just("member"), st.just("lk"), words, st.just("--k"), small),
+    st.tuples(st.just("member"), st.just("lscript"), words),
+    st.tuples(st.just("member"), st.just("hv"), words),
+    st.tuples(st.just("member"), st.just("rp"), words, st.just("--p"), small),
+    st.tuples(st.just("member"), st.just("r"), words),
+    st.tuples(st.just("member"), st.just("r-approx"), words,
+              st.just("--p"), small),
+    st.tuples(st.just("member"), st.just("encoded-r-approx"), words,
+              st.just("--p"), small),
+    st.tuples(st.just("min-k"), words),
+    st.tuples(st.just("encode"), words),
+    st.tuples(st.just("encode"), words, st.just("--up")),
+    st.tuples(st.just("decode"), words),
+    st.tuples(st.just("factor"), words),
+    st.tuples(st.just("viable"), words),
+    st.tuples(st.just("lasso"), words, st.just("--bound"), small),
+    st.tuples(st.just("dcheck"), words, words),
+)
+
+
+# run() drains capsys after every call, so examples cannot see each
+# other's output through the shared fixture
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(COMMANDS)
+def test_every_word_exits_0_or_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert out == "" and err.count("\n") >= 1
+    else:
+        assert err == ""
