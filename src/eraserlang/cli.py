@@ -5,6 +5,13 @@ Membership queries print "true" or "false"; evaluations print
 "undefined", "finite: <word>" or "infinite: <prefix>|<period>".
 Exit status 0 on success, 2 on malformed input or an unwritable report
 path (diagnostic on the error stream), 1 on internal failure.
+
+Every command is one row of the table ``_COMMANDS``: its help text, its
+arguments and the ``_run_*`` function that answers it.  ``member`` and
+``enumerate`` hold a table of sets in place of arguments, with rows of
+the same shape.  A call builds the argparse parser of the command it
+names only (and of that set only, under ``member``/``enumerate``); a
+command line that names none, such as ``--help``, gets every command.
 """
 
 from __future__ import annotations
@@ -204,138 +211,121 @@ def _run_verify_rp(args) -> int:
     return _bool_line(ok)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **options) -> tuple:
+    return names, options
+
+
+_WORD = _arg("word")
+_UP = _arg("--up", action="store_true")
+_K = _arg("--k", type=_positive, required=True)
+_P = _arg("--p", type=_positive, required=True)
+_MAX_LEN = _arg("--max-len", type=_nonnegative, default=8)
+
+# name -> (help, arguments, run), or (help, table of sets) for a command
+# with sets of its own; the order is the order of the help listings
+_MEMBER_SETS = {
+    "l1-grammar": ("one-stage language, by grammar derivation",
+                   [_WORD], _run_member_l1_grammar),
+    "lk": ("k-stage erasure language, by evaluation",
+           [_WORD, _K], _run_member_lk),
+    "lscript": ("coded words vanishing at their own top stage",
+                [_WORD], _run_member_lscript),
+    "hv": ("the factor language (pad 0)*(pad 1)", [_WORD], _run_member_hv),
+    "rp": ("order-p block streams (ultimately periodic)",
+           [_WORD, _P], _run_member_rp),
+    "r": ("binary words with infinitely many ones", [_WORD], _run_member_r),
+    "r-approx": ("staged words whose p-stage erasure has infinitely many "
+                 "ones", [_WORD, _P], _run_member_r_approx),
+    "encoded-r-approx": ("coded twin of r-approx inside the order-p block "
+                         "streams", [_WORD, _P], _run_member_encoded_r_approx),
+}
+
+_ENUMERATE_SETS = {
+    "lk": ("k-stage erasure language members", [_K, _MAX_LEN],
+           _run_enumerate_lk),
+    "hv": ("factor language members", [_MAX_LEN], _run_enumerate_hv),
+}
+
+_COMMANDS = {
+    "erase": ("single-eraser evaluation of a staged word",
+              [_arg("word", help="staged word, or prefix|period with --up"),
+               _arg("--up", action="store_true",
+                    help="treat the word as ultimately periodic")],
+              _run_erase),
+    "staged-erase": ("multi-stage eraser pipeline",
+                     [_WORD, _arg("--k", type=_positive, required=True,
+                                  help="number of stages"), _UP],
+                     _run_staged_erase),
+    "member": ("membership queries", _MEMBER_SETS),
+    "enumerate": ("exhaustive listings", _ENUMERATE_SETS),
+    "min-k": ("least stage count that erases the word away",
+              [_WORD], _run_min_k),
+    "encode": ("staged word to coded letters", [_WORD, _UP], _run_encode),
+    "decode": ("coded letters to staged word", [_WORD], _run_decode),
+    "factor": ("count factor decompositions, with cuts when unique",
+               [_WORD], _run_factor),
+    "viable": ("is the coded word a prefix of the omega power",
+               [_WORD], _run_viable),
+    "lasso": ("bounded omega power membership for prefix|period",
+              [_WORD, _arg("--bound", type=_positive, default=8,
+                           help="period copies to explore (default 8)")],
+              _run_lasso),
+    "theta": ("factor enumeration: index to word",
+              [_arg("index", nargs="?", type=_nonnegative),
+               _arg("--upto", type=_nonnegative,
+                    help="print the whole table for indices 0..N")],
+              _run_theta),
+    "dcheck": ("index-stream pairing consistency for (sigma, nu)",
+               [_arg("sigma", help="binary block word 0^n1 0^n1 ..."),
+                _arg("nu", help="coded factor stream prefix")],
+               _run_dcheck),
+    "verify-rp": ("intersection identity check at order p, lengths up to n",
+                  [_P, _arg("--n", type=_nonnegative, required=True),
+                   _arg("--report", metavar="PATH",
+                        help="also write a line-per-difference report")],
+                  _run_verify_rp),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str,
+                  argv: list[str]) -> None:
+    """Add the commands of table to parser: only the one argv starts
+    with, or every one when argv starts with none of them.
+
+    A lone command still shows the whole choice list in the usage line,
+    so that errors read as they would with every command present.
+    """
+    lean = bool(argv) and argv[0] in table
+    commands = parser.add_subparsers(
+        dest=dest, required=True,
+        metavar="{" + ",".join(table) + "}" if lean else None)
+    for name in argv[:1] if lean else table:
+        help_text, *spec = table[name]
+        cmd = commands.add_parser(name, help=help_text)
+        if isinstance(spec[0], dict):  # a command with sets of its own
+            _add_commands(cmd, spec[0], "set_name", argv[1:] if lean else [])
+            continue
+        arguments, run = spec
+        for names, options in arguments:
+            cmd.add_argument(*names, **options)
+        cmd.set_defaults(run=run)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv, holding the command argv invokes, or every
+    command when it invokes none."""
     parser = argparse.ArgumentParser(
         prog="eraserlang",
         description="eraser evaluation, staged erasure languages and the "
                     "omega power toolkit")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    cmd = commands.add_parser(
-        "erase", help="single-eraser evaluation of a staged word")
-    cmd.add_argument("word", help="staged word, or prefix|period with --up")
-    cmd.add_argument("--up", action="store_true",
-                     help="treat the word as ultimately periodic")
-    cmd.set_defaults(run=_run_erase)
-
-    cmd = commands.add_parser(
-        "staged-erase", help="multi-stage eraser pipeline")
-    cmd.add_argument("word")
-    cmd.add_argument("--k", type=_positive, required=True,
-                     help="number of stages")
-    cmd.add_argument("--up", action="store_true")
-    cmd.set_defaults(run=_run_staged_erase)
-
-    member = commands.add_parser(
-        "member", help="membership queries").add_subparsers(
-        dest="set_name", required=True)
-    cmd = member.add_parser(
-        "l1-grammar", help="one-stage language, by grammar derivation")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_member_l1_grammar)
-    cmd = member.add_parser(
-        "lk", help="k-stage erasure language, by evaluation")
-    cmd.add_argument("word")
-    cmd.add_argument("--k", type=_positive, required=True)
-    cmd.set_defaults(run=_run_member_lk)
-    cmd = member.add_parser(
-        "lscript", help="coded words vanishing at their own top stage")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_member_lscript)
-    cmd = member.add_parser("hv", help="the factor language (pad 0)*(pad 1)")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_member_hv)
-    cmd = member.add_parser(
-        "rp", help="order-p block streams (ultimately periodic)")
-    cmd.add_argument("word")
-    cmd.add_argument("--p", type=_positive, required=True)
-    cmd.set_defaults(run=_run_member_rp)
-    cmd = member.add_parser(
-        "r", help="binary words with infinitely many ones")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_member_r)
-    cmd = member.add_parser(
-        "r-approx", help="staged words whose p-stage erasure has "
-                         "infinitely many ones")
-    cmd.add_argument("word")
-    cmd.add_argument("--p", type=_positive, required=True)
-    cmd.set_defaults(run=_run_member_r_approx)
-    cmd = member.add_parser(
-        "encoded-r-approx", help="coded twin of r-approx inside the "
-                                 "order-p block streams")
-    cmd.add_argument("word")
-    cmd.add_argument("--p", type=_positive, required=True)
-    cmd.set_defaults(run=_run_member_encoded_r_approx)
-
-    enum = commands.add_parser(
-        "enumerate", help="exhaustive listings").add_subparsers(
-        dest="set_name", required=True)
-    cmd = enum.add_parser("lk", help="k-stage erasure language members")
-    cmd.add_argument("--k", type=_positive, required=True)
-    cmd.add_argument("--max-len", type=_nonnegative, default=8)
-    cmd.set_defaults(run=_run_enumerate_lk)
-    cmd = enum.add_parser("hv", help="factor language members")
-    cmd.add_argument("--max-len", type=_nonnegative, default=8)
-    cmd.set_defaults(run=_run_enumerate_hv)
-
-    cmd = commands.add_parser(
-        "min-k", help="least stage count that erases the word away")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_min_k)
-
-    cmd = commands.add_parser("encode", help="staged word to coded letters")
-    cmd.add_argument("word")
-    cmd.add_argument("--up", action="store_true")
-    cmd.set_defaults(run=_run_encode)
-
-    cmd = commands.add_parser("decode", help="coded letters to staged word")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_decode)
-
-    cmd = commands.add_parser(
-        "factor", help="count factor decompositions, with cuts when unique")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_factor)
-
-    cmd = commands.add_parser(
-        "viable", help="is the coded word a prefix of the omega power")
-    cmd.add_argument("word")
-    cmd.set_defaults(run=_run_viable)
-
-    cmd = commands.add_parser(
-        "lasso", help="bounded omega power membership for prefix|period")
-    cmd.add_argument("word")
-    cmd.add_argument("--bound", type=_positive, default=8,
-                     help="period copies to explore (default 8)")
-    cmd.set_defaults(run=_run_lasso)
-
-    cmd = commands.add_parser(
-        "theta", help="factor enumeration: index to word")
-    cmd.add_argument("index", nargs="?", type=_nonnegative)
-    cmd.add_argument("--upto", type=_nonnegative,
-                     help="print the whole table for indices 0..N")
-    cmd.set_defaults(run=_run_theta)
-
-    cmd = commands.add_parser(
-        "dcheck", help="index-stream pairing consistency for (sigma, nu)")
-    cmd.add_argument("sigma", help="binary block word 0^n1 0^n1 ...")
-    cmd.add_argument("nu", help="coded factor stream prefix")
-    cmd.set_defaults(run=_run_dcheck)
-
-    cmd = commands.add_parser(
-        "verify-rp", help="intersection identity check at order p, "
-                          "lengths up to n")
-    cmd.add_argument("--p", type=_positive, required=True)
-    cmd.add_argument("--n", type=_nonnegative, required=True)
-    cmd.add_argument("--report", metavar="PATH",
-                     help="also write a line-per-difference report")
-    cmd.set_defaults(run=_run_verify_rp)
-
+    _add_commands(parser, _COMMANDS, "command", argv)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.run(args)
     except MalformedInput as exc:

@@ -14,7 +14,7 @@ period boundary repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
                     up_normalize)
@@ -32,8 +32,7 @@ def encode(word: StagedWord) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """Decoded symbols plus the dangling tail of an unfinished code.
 
     encode(symbols) + dangling always reconstructs the input text.

@@ -26,8 +26,7 @@ top.  Comparing dig against the push length decides everything:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize
 
@@ -36,8 +35,7 @@ FINITE = "finite"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True, slots=True)
-class LoopCertificate:
+class LoopCertificate(NamedTuple):
     """Replayable witness for an Infinite outcome.
 
     Starting from the evaluation stack reached after ``warmup_periods``
@@ -51,8 +49,7 @@ class LoopCertificate:
     pushed: StagedWord
 
 
-@dataclass(frozen=True, slots=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     """Result of a backspace evaluation: Undefined, Finite or Infinite."""
 
     status: str

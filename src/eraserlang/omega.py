@@ -23,10 +23,8 @@ checkable here at desk scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize, up_prefix
 from .eraser import _kinds, _pass_finite, _pipeline, staged_erase_up
@@ -46,8 +44,7 @@ def vanishes_coded(word: str) -> bool:
 
 # ------------------------------------------------------------- factors
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Number of factor decompositions; cut positions when unique.
 
     cuts lists every boundary including 0 and the word length.
@@ -119,8 +116,7 @@ def viable_prefix(word: str) -> bool:
 
 # ----------------------------------------------------------- omega words
 
-@dataclass(frozen=True, slots=True)
-class LassoVerdict:
+class LassoVerdict(NamedTuple):
     """Outcome of the bounded lasso search.
 
     yes: the word provably lies in the omega power; the loop segment
@@ -273,23 +269,29 @@ def verify_intersection_identity(p: int, n: int,
         raise ValueError("block order must be >= 1")
     if n < 0:
         raise ValueError("length bound must be >= 0")
-    intersection = set(_viable_rp_prefixes(p, n))
-    image = set(_encoded_staged_prefixes(p, n))
-    ok = intersection == image
-    if report_path is not None:
-        lines = [
-            f"intersection identity check: block order p={p}, "
-            f"lengths up to n={n}",
-            f"result: {'PASS' if ok else 'FAIL'}",
-            f"intersection side: {len(intersection)} words, "
-            f"encoded staged side: {len(image)} words",
-        ]
-        for w in sorted(intersection - image):
-            lines.append(f"only in intersection side: {w or '(empty)'}")
-        for w in sorted(image - intersection):
-            lines.append(f"only in encoded staged side: {w or '(empty)'}")
-        Path(report_path).write_text("\n".join(lines) + "\n",
-                                     encoding="ascii")
+    # opened before the walks, so an unwritable path fails at once
+    report = None if report_path is None else open(report_path, "w",
+                                                   encoding="ascii")
+    try:
+        intersection = set(_viable_rp_prefixes(p, n))
+        image = set(_encoded_staged_prefixes(p, n))
+        ok = intersection == image
+        if report is not None:
+            lines = [
+                f"intersection identity check: block order p={p}, "
+                f"lengths up to n={n}",
+                f"result: {'PASS' if ok else 'FAIL'}",
+                f"intersection side: {len(intersection)} words, "
+                f"encoded staged side: {len(image)} words",
+            ]
+            for w in sorted(intersection - image):
+                lines.append(f"only in intersection side: {w or '(empty)'}")
+            for w in sorted(image - intersection):
+                lines.append(f"only in encoded staged side: {w or '(empty)'}")
+            report.write("\n".join(lines) + "\n")
+    finally:
+        if report is not None:
+            report.close()
     return ok
 
 

@@ -24,7 +24,7 @@ infinite word ``<prefix>|<period>``, e.g. ``|01`` or ``1 1|E1 0``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
 
 ALPHA = "a"
@@ -41,19 +41,43 @@ class MalformedInput(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
 class Eraser:
     """Backspace symbol of a given stage.
 
     During stage j only ``Eraser(j)`` is active; it may erase a letter or
     an eraser of strictly larger index, never one of its own kind.
+
+    Immutable, and equal only to an eraser of the same index.  Not a
+    tuple: erasers sit inside staged words, which are tuples, so
+    ``Eraser(1)`` must differ from ``(1,)``.
     """
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise MalformedInput(f"eraser index must be >= 1, got {self.index}")
+    def __init__(self, index: int):
+        if index < 1:
+            raise MalformedInput(f"eraser index must be >= 1, got {index}")
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
+
+    def __repr__(self):
+        return f"Eraser(index={self.index!r})"
+
+    def __reduce__(self):
+        return Eraser, (self.index,)
 
 
 StagedSymbol = Union[int, Eraser]
@@ -114,8 +138,7 @@ def format_word(word: AnyWord) -> str:
     return word if isinstance(word, str) else format_staged(word)
 
 
-@dataclass(frozen=True, slots=True)
-class UPWord:
+class UPWord(namedtuple("UPWord", "prefix period")):
     """Ultimately periodic infinite word ``prefix . period^omega``.
 
     prefix and period must come from the same universe (both str or both
@@ -123,14 +146,14 @@ class UPWord:
     the fields; use up_equal for equality of the denoted infinite words.
     """
 
-    prefix: AnyWord
-    period: AnyWord
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.period) == 0:
+    def __new__(cls, prefix: AnyWord, period: AnyWord):
+        if len(period) == 0:
             raise MalformedInput("period must be nonempty")
-        if type(self.prefix) is not type(self.period):
+        if type(prefix) is not type(period):
             raise MalformedInput("prefix and period use different alphabets")
+        return super().__new__(cls, prefix, period)
 
 
 def parse_up(text: str, kind: str = "coded") -> UPWord:

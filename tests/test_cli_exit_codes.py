@@ -6,6 +6,7 @@ failures, so user input must never produce it.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eraserlang import omega
 from eraserlang.cli import main
 
 
@@ -33,6 +34,19 @@ def test_report_path_that_is_a_directory_exits_2(capsys, tmp_path):
                          "--report", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_unwritable_report_path_fails_before_the_walks(capsys, tmp_path,
+                                                       monkeypatch):
+    def walk(p, n):
+        raise AssertionError("walked before opening the report")
+
+    monkeypatch.setattr(omega, "_viable_rp_prefixes", walk)
+    missing = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "verify-rp", "--p", "1", "--n", "14",
+                         "--report", str(missing))
+    assert (code, out) == (2, "")
+    assert str(missing) in err
 
 
 def test_writable_report_path_still_works(capsys, tmp_path):
