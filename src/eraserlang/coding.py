@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
-                    up_normalize)
+                    up_normalize, up_prefix)
 
 _OUT = -1  # scanner state: outside any code; n >= 0 means inside with n betas
 
@@ -116,29 +116,44 @@ def decode_up(x: UPWord) -> UPWord:
     """Decode an ultimately periodic coded word into a staged one.
 
     Works whenever the denoted word is an infinite sequence of complete
-    codes and letters; otherwise raises MalformedInput.  The staged period
-    is read off between two period boundaries with equal scanner state.
+    codes and letters; otherwise raises MalformedInput, with decode's
+    message and position where a finite prefix is malformed, and "code
+    never closes" where a code stays open for ever.  The staged period is
+    read off between two period boundaries with equal scanner state.
     """
     symbols: list = []
-    state = ""  # dangling text carried across boundaries
-    for ch in x.prefix:
-        state = _absorb(symbols, state, ch)
-    seen: dict[str, int] = {}
-    while state not in seen:
-        # a clean scan revisits a boundary state within period+3 copies
-        if len(seen) > len(x.period) + 3:
-            raise MalformedInput("code never closes")
+    state = _decode_steps(symbols, _OUT, x.prefix)
+    seen: dict[int, int] = {}
+    # a period with an a leaves the scanner in one of two states after
+    # its last a, so a boundary state repeats within three copies
+    while state is not None and state not in seen:
         seen[state] = len(symbols)
-        for ch in x.period:
-            state = _absorb(symbols, state, ch)
+        state = _decode_steps(symbols, state, x.period)
+        # a code open after a copy without an a only ever gains b's
+        if state not in (None, _OUT) and ALPHA not in x.period:
+            raise MalformedInput("code never closes")
+    if state is None:  # decode scans alike and raises at the same letter
+        decode(up_prefix(x, len(x.prefix) + len(seen) * len(x.period)))
     start = seen[state]
-    period = tuple(symbols[start:])
-    if not period:
-        raise MalformedInput("code never closes")
-    return up_normalize(UPWord(tuple(symbols[:start]), period))
+    return up_normalize(UPWord(tuple(symbols[:start]), tuple(symbols[start:])))
 
 
-def _absorb(symbols: list, dangling: str, ch: str) -> str:
-    res = decode(dangling + ch)
-    symbols.extend(res.symbols)
-    return res.dangling
+def _decode_steps(symbols: list, state: int, text: str) -> int | None:
+    """Run decode's scan over text from a scanner state, appending the
+    symbols it completes; the state after it, None where decode raises."""
+    for ch in text:
+        if state == _OUT:
+            if ch == "0" or ch == "1":
+                symbols.append(int(ch))
+            elif ch == ALPHA:
+                state = 0
+            else:
+                return None
+        elif ch == BETA:
+            state += 1
+        elif ch == ALPHA and state:
+            symbols.append(Eraser(state))
+            state = _OUT
+        else:
+            return None
+    return state

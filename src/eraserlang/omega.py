@@ -23,10 +23,13 @@ checkable here at desk scale:
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate, count, product
 from typing import Iterator, NamedTuple, Optional
 
-from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize, up_prefix
+from .words import (Eraser, MalformedInput, StagedWord, UPWord, parse_binary,
+                    parse_coded, up_normalize, up_prefix)
 from .eraser import _kinds, _pass_finite, _pipeline, staged_erase_up
 from .coding import _OUT, _scan_step, decode, decode_up, encode, in_block_stream
 
@@ -296,82 +299,52 @@ def verify_intersection_identity(p: int, n: int,
 
 
 # ----------------------------------------------------- factor enumeration
+#
+# The factors are enumerated one row per length, built constructively from
+# pads, unlike is_factor's pipeline run, so the two routes can cross-check
+# each other.  A row asks for the shorter rows in increasing length, each
+# of which finds its own shorter rows built, so no call recurses more than
+# one row deep.
 
-_pad_rows: dict[int, list[str]] = {}
-_pads_upto = -1
-_chain_sets: dict[int, set[str]] = {0: {""}}
-_factor_rows: dict[int, list[str]] = {}
-_factor_pos: dict[str, int] = {}
-_factor_flat: list[str] = []
-_factors_upto = 0
-
-
-def _build_pads(upto: int) -> None:
-    global _pads_upto
-    if upto <= _pads_upto:
-        return
-    rows: dict[int, list[str]] = {length: [] for length in range(upto + 1)}
-    for word, cost in _staged_by_cost(upto):
-        # a vanishing word pairs every symbol off with another, so odd
-        # lengths can be skipped outright
-        if len(word) % 2:
-            continue
-        if _pipeline(_kinds(word)) == []:
-            rows[cost].append(encode(word))
-    for row in rows.values():
-        row.sort()
-    _pad_rows.clear()
-    _pad_rows.update(rows)
-    _pads_upto = upto
+@lru_cache(maxsize=None)
+def _pad_row(m: int) -> tuple[str, ...]:
+    """The sorted encodings of the vanishing staged words coded m long."""
+    # a vanishing word pairs every symbol off with another, so odd
+    # lengths can be skipped outright
+    return tuple(sorted(encode(word) for word, cost in _staged_by_cost(m)
+                        if cost == m and not len(word) % 2
+                        and _pipeline(_kinds(word)) == []))
 
 
-def _extend_factors(upto: int) -> None:
-    """Grow the length-ordered factor enumeration to words of length upto.
+@lru_cache(maxsize=None)
+def _factor_row(n: int) -> tuple[str, ...]:
+    """The sorted factors of length n >= 1, each a chain, a pad and a 1.
 
-    Built constructively from pads, unlike is_factor's pipeline run, so
-    the two routes can cross-check each other.
+    A chain (pad 0)^* is empty or a shorter factor with its final 1
+    turned into 0, so the chains are read off the shorter rows.
     """
-    global _factors_upto
-    if upto <= _factors_upto:
-        return
-    _build_pads(upto - 1)
-    for length in range(_factors_upto + 1, upto + 1):
-        if length - 1 not in _chain_sets:
-            chain: set[str] = set()
-            j = length - 1
-            for i in range(j):
-                for pad in _pad_rows.get(j - i - 1, ()):
-                    for left in _chain_sets[i]:
-                        chain.add(left + pad + "0")
-            _chain_sets[j] = chain
-        row: set[str] = set()
-        for i in range(length):
-            for pad in _pad_rows.get(length - i - 1, ()):
-                for left in _chain_sets[i]:
-                    row.add(left + pad + "1")
-        ordered = sorted(row)
-        _factor_rows[length] = ordered
-        for word in ordered:
-            _factor_pos[word] = len(_factor_flat)
-            _factor_flat.append(word)
-    _factors_upto = upto
+    chains = [""] + [f[:-1] + "0" for j in range(1, n) for f in _factor_row(j)]
+    return tuple(sorted(chain + pad + "1" for chain in chains
+                        for pad in _pad_row(n - 1 - len(chain))))
 
 
 def nth_factor(i: int) -> str:
     """The i-th factor in length order, ties broken by 0 < 1 < a < b."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    while len(_factor_flat) <= i:
-        _extend_factors(_factors_upto + 1)
-    return _factor_flat[i]
+    for n in count(1):  # every row holds 0^(n-1) 1, so the walk ends
+        row = _factor_row(n)
+        if i < len(row):
+            return row[i]
+        i -= len(row)
 
 
 def factor_index(word: str) -> Optional[int]:
     """Position of a factor in the enumeration, None for non-members."""
-    if len(word) == 0:
+    if not is_factor(word):
         return None
-    _extend_factors(len(word))
-    return _factor_pos.get(word)
+    shorter = sum(len(_factor_row(n)) for n in range(1, len(word)))
+    return shorter + bisect_left(_factor_row(len(word)), word)
 
 
 def factor_words(max_len: int) -> list[str]:
@@ -397,14 +370,8 @@ def pairing_consistent(sigma: str, nu: str) -> bool:
     extends to factors of unbounded length, hence unbounded index, so
     the open block of sigma can always grow to match.
     """
-    for i, ch in enumerate(sigma):
-        if ch not in "01":
-            raise MalformedInput(
-                f"unexpected character {ch!r} at position {i + 1}", i + 1)
-    for i, ch in enumerate(nu):
-        if ch not in "01ab":
-            raise MalformedInput(
-                f"unexpected character {ch!r} at position {i + 1}", i + 1)
+    parse_binary(sigma)
+    parse_coded(nu)
     counts = []
     zeros = 0
     for ch in sigma:

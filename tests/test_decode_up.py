@@ -1,13 +1,16 @@
-"""The guard of decode_up at its boundary.
+"""decode_up against decode on long unrolled prefixes.
 
-decode_up scans period copies until the dangling text at a period
-boundary repeats, and gives up with "code never closes" once it has
-seen more than len(period) + 3 boundary states.  A decodable word needs
-at most two: the one after the prefix and the one every later copy ends
-in (its period holds an even number of a's, so each copy leaves the
-scanner inside or outside a code as it found it).
+decode_up carries the scanner state (outside a code, or inside one with
+j b's) across period boundaries until a boundary state repeats.  A
+decodable word needs at most two boundary states: the one after the
+prefix and the one every later copy ends in (its period holds an even
+number of a's, so each copy leaves the scanner inside or outside a code
+as it found it).  A malformed word raises decode's message and position
+on the unrolled word; a code that stays open for ever raises "code never
+closes".
 """
 
+import time
 from itertools import product
 
 import pytest
@@ -22,15 +25,30 @@ def coded_words(max_len):
             yield "".join(letters)
 
 
+def unrolled(x):
+    return up_prefix(x, len(x.prefix) + (len(x.period) + 4) * len(x.period))
+
+
 def decodes(x):
     """Literal oracle: a long prefix decodes, and its dangling code is no
     longer than the period, so every code in it closes."""
-    copies = len(x.period) + 4
     try:
-        res = decode(up_prefix(x, len(x.prefix) + copies * len(x.period)))
+        res = decode(unrolled(x))
     except MalformedInput:
         return False
     return len(res.dangling) <= len(x.period)
+
+
+def assert_rejects_like_decode(x):
+    with pytest.raises(MalformedInput) as got:
+        decode_up(x)
+    try:
+        decode(unrolled(x))
+    except MalformedInput as want:
+        assert (str(got.value), got.value.position) == (
+            str(want), want.position), x
+    else:
+        assert str(got.value) == "code never closes", x
 
 
 def test_two_boundary_states_decode():
@@ -58,6 +76,22 @@ def test_short_words_decode_exactly_when_the_oracle_says():
                 assert up_equal(encode_up(decode_up(x)), x), x
                 decoded += 1
             else:
-                with pytest.raises(MalformedInput):
-                    decode_up(x)
+                assert_rejects_like_decode(x)
     assert decoded > 500
+
+
+@pytest.mark.parametrize("x", [UPWord("0000ab", "x0"), UPWord("01010", "aaba"),
+                               UPWord("0101abbb", "0")])
+def test_positions_count_from_the_start_of_the_word(x):
+    assert_rejects_like_decode(x)
+
+
+def test_long_codes_take_linear_time():
+    t0 = time.perf_counter()
+    with pytest.raises(MalformedInput, match="code never closes"):
+        decode_up(UPWord("a", "b" * 2000))
+    assert time.perf_counter() - t0 < 0.1
+    t0 = time.perf_counter()
+    assert decode_up(UPWord("a" + "b" * 4000 + "a", "0")) == UPWord(
+        (Eraser(4000),), (0,))
+    assert time.perf_counter() - t0 < 0.1

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import eraserlang
 from eraserlang import (
     Eraser,
     MalformedInput,
@@ -208,6 +214,36 @@ def test_factor_index_inverts_nth_factor():
         assert factor_index(nth_factor(i)) == i
     assert factor_index("11") is None
     assert factor_index("") is None
+
+
+def test_row_sizes_are_pinned():
+    lengths = []
+    while len(w := nth_factor(len(lengths))) <= 13:
+        lengths.append(len(w))
+    sizes = [lengths.count(n) for n in range(1, 14)]
+    assert sizes == [1, 1, 1, 1, 3, 7, 13, 22, 42, 82, 158, 295, 567]
+
+
+def test_factor_index_does_not_depend_on_call_order():
+    # the first call of a fresh interpreter asks for a 13-letter factor;
+    # the 567 of them hold indices 626..1192
+    i = 993
+    word = nth_factor(i)
+    assert len(word) == 13
+    code = ("import sys; from eraserlang import factor_index; "
+            "print(factor_index(sys.argv[1]))")
+    src = str(Path(eraserlang.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, word],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout == f"{i}\n"
+
+
+@pytest.mark.parametrize("word", ["0" * 40, "1" * 40])
+def test_factor_index_of_long_non_factors_builds_nothing(word):
+    t0 = time.perf_counter()
+    assert factor_index(word) is None
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_enumeration_is_length_lex_monotone():
