@@ -5,11 +5,12 @@ Letters map to themselves and Eraser(j) maps to the self delimiting code
 left to right scan decodes deterministically; a word may end in the
 middle of a code, which decode reports as the dangling part.
 
-A block stream of order p is an infinite word that splits into blocks
-from {0, 1, aba, abba, .., a b^p a}.  The scanner state (outside a code,
-or inside with a beta count) is finite, so membership for ultimately
-periodic words is decided by running the scanner until the state at a
-period boundary repeats.
+An ultimately periodic coded word decodes copy by copy: each period
+copy is scanned behind the code left open at its boundary, and the open
+codes at the boundaries repeat within three copies.  A block stream of
+order p is an infinite word that splits into blocks from {0, 1, aba,
+abba, .., a b^p a}, so membership is decided by decoding: the word
+decodes and no eraser index exceeds p.
 """
 
 from __future__ import annotations
@@ -93,67 +94,43 @@ def _scan_step(state: int, ch: str, p: int) -> int | None:
     return None  # letter inside a code
 
 
-def in_block_stream(x: UPWord, p: int) -> bool:
-    """Is the denoted infinite word a stream of order-p blocks?"""
-    if p < 1:
-        raise ValueError("block order must be >= 1")
-    state = _OUT
-    for ch in x.prefix:
-        state = _scan_step(state, ch, p)
-        if state is None:
-            return False
-    seen = set()
-    while state not in seen:
-        seen.add(state)
-        for ch in x.period:
-            state = _scan_step(state, ch, p)
-            if state is None:
-                return False
-    return True
-
-
 def decode_up(x: UPWord) -> UPWord:
     """Decode an ultimately periodic coded word into a staged one.
 
     Works whenever the denoted word is an infinite sequence of complete
     codes and letters; otherwise raises MalformedInput, with decode's
     message and position where a finite prefix is malformed, and "code
-    never closes" where a code stays open for ever.  The staged period is
-    read off between two period boundaries with equal scanner state.
+    never closes" where a code stays open for ever.  Each period copy is
+    decoded behind the code left open at its boundary; the staged period
+    is read off between two boundaries that leave the same open code.
     """
-    symbols: list = []
-    state = _decode_steps(symbols, _OUT, x.prefix)
-    seen: dict[int, int] = {}
-    # a period with an a leaves the scanner in one of two states after
-    # its last a, so a boundary state repeats within three copies
-    while state is not None and state not in seen:
-        seen[state] = len(symbols)
-        state = _decode_steps(symbols, state, x.period)
+    res = decode(x.prefix)
+    symbols = list(res.symbols)
+    seen: dict[str, int] = {}
+    # a period with an a leaves one of two open codes after its last a,
+    # so a boundary repeats within three copies
+    while res.dangling not in seen:
+        seen[res.dangling] = len(symbols)
+        try:
+            res = decode(res.dangling + x.period)
+        except MalformedInput:  # decode raises alike on the unrolled word
+            decode(up_prefix(x, len(x.prefix) + len(seen) * len(x.period)))
+            raise
+        symbols += res.symbols
         # a code open after a copy without an a only ever gains b's
-        if state not in (None, _OUT) and ALPHA not in x.period:
+        if res.dangling and ALPHA not in x.period:
             raise MalformedInput("code never closes")
-    if state is None:  # decode scans alike and raises at the same letter
-        decode(up_prefix(x, len(x.prefix) + len(seen) * len(x.period)))
-    start = seen[state]
+    start = seen[res.dangling]
     return up_normalize(UPWord(tuple(symbols[:start]), tuple(symbols[start:])))
 
 
-def _decode_steps(symbols: list, state: int, text: str) -> int | None:
-    """Run decode's scan over text from a scanner state, appending the
-    symbols it completes; the state after it, None where decode raises."""
-    for ch in text:
-        if state == _OUT:
-            if ch == "0" or ch == "1":
-                symbols.append(int(ch))
-            elif ch == ALPHA:
-                state = 0
-            else:
-                return None
-        elif ch == BETA:
-            state += 1
-        elif ch == ALPHA and state:
-            symbols.append(Eraser(state))
-            state = _OUT
-        else:
-            return None
-    return state
+def in_block_stream(x: UPWord, p: int) -> bool:
+    """Is the denoted infinite word a stream of order-p blocks?"""
+    if p < 1:
+        raise ValueError("block order must be >= 1")
+    try:
+        y = decode_up(x)
+    except MalformedInput:
+        return False
+    return all(sym.index <= p for sym in y.prefix + y.period
+               if isinstance(sym, Eraser))

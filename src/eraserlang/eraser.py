@@ -156,10 +156,7 @@ def _single_kind(symbols: Iterable) -> int:
 
 def erase(word: StagedWord) -> EvalOutcome:
     """Evaluate a finite word that uses at most one eraser kind."""
-    stack = _pass_finite(word, _single_kind(word))
-    if stack is None:
-        return EvalOutcome.undefined()
-    return EvalOutcome.finite(stack)
+    return staged_erase(word, _single_kind(word))
 
 
 def _erase_up_stage(x: UPWord, active: int) -> EvalOutcome:
@@ -212,9 +209,9 @@ def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
 def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
     """Run the stage pipeline over an ultimately periodic word.
 
-    Each stage feeds its outcome into the next: Finite results continue
-    with finite passes, Infinite results with periodic passes.  Undefined
-    is absorbing.
+    Each stage feeds its outcome into the next while it stays Infinite;
+    a Finite outcome runs the remaining stages as one finite pipeline,
+    and Undefined is absorbing.
 
     A stage whose eraser is not in x changes only the certificate, the
     same way at every such stage, so only stage 1 (it normalizes x), the
@@ -230,25 +227,15 @@ def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
     run = sorted(used | {1})
     if run[-1] < stages:
         run.append(stages)
-    word: Optional[StagedWord] = None
-    up: Optional[UPWord] = x
-    cert = None
+    up = x
     for j in run:
-        if up is not None:
-            out = _erase_up_stage(up, j)
-        else:
-            stack = _pass_finite(word, j)
-            out = (EvalOutcome.undefined() if stack is None
-                   else EvalOutcome.finite(stack))
+        out = _erase_up_stage(up, j)
+        if out.is_finite:
+            return staged_erase(out.word, stages)
         if out.is_undefined:
-            return EvalOutcome.undefined()
-        if out.is_infinite:
-            up, word, cert = out.up, None, out.certificate
-        else:
-            up, word = None, out.word
-    if up is not None:
-        return EvalOutcome.infinite(up, cert)
-    return EvalOutcome.finite(word)
+            return out
+        up = out.up
+    return out
 
 
 def certificate_holds(x: UPWord, cert: LoopCertificate) -> bool:

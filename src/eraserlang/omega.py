@@ -29,9 +29,9 @@ from itertools import accumulate, count, product
 from typing import Iterator, NamedTuple, Optional
 
 from .words import (Eraser, MalformedInput, StagedWord, UPWord, parse_binary,
-                    parse_coded, up_normalize, up_prefix)
+                    parse_coded, up_prefix)
 from .eraser import _kinds, _pass_finite, _pipeline, staged_erase_up
-from .coding import _OUT, _scan_step, decode, decode_up, encode, in_block_stream
+from .coding import _OUT, _scan_step, decode, decode_up, encode
 
 
 # ---------------------------------------------------------------- pads
@@ -167,8 +167,8 @@ def has_infinitely_many_ones(x: UPWord) -> bool:
     for sym in tuple(x.prefix) + tuple(x.period):
         if sym not in (0, 1, "0", "1"):
             raise MalformedInput("word is not over the binary alphabet")
-    period = up_normalize(x).period
-    return any(sym in (1, "1") for sym in period)
+    # a period holds a 1 iff its primitive root does
+    return any(sym in (1, "1") for sym in x.period)
 
 
 def in_erasure_ladder(x: UPWord, p: int) -> bool:
@@ -180,11 +180,14 @@ def in_erasure_ladder(x: UPWord, p: int) -> bool:
 
 
 def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
-    """Coded twin of the ladder: block stream membership plus the decoded
-    pipeline test."""
-    if not in_block_stream(x, p):
+    """Coded twin of the ladder: x decodes to a word whose indices stay
+    within p (a block stream of order p) and which lies in the ladder."""
+    if p < 1:
+        raise ValueError("block order must be >= 1")
+    try:
+        return in_erasure_ladder(decode_up(x), p)
+    except MalformedInput:  # not decodable, or an index above p
         return False
-    return in_erasure_ladder(decode_up(x), p)
 
 
 # ------------------------------------------------- intersection identity

@@ -202,14 +202,18 @@ def up_normalize(x: UPWord) -> UPWord:
 
     While the prefix ends with the same symbol the period ends with, that
     symbol can be absorbed by rotating the period right; the result is the
-    unique shortest representation of the denoted word.
+    unique shortest representation of the denoted word.  The k absorbed
+    symbols are the prefix's longest tail that agrees with the period
+    repeated, so they are counted first and cut off in one step.
     """
     v = _primitive_root(x.period)
     u = x.prefix
-    while len(u) > 0 and u[-1] == v[-1]:
-        v = v[-1:] + v[:-1]
-        u = u[:-1]
-    return UPWord(u, v)
+    n = len(v)
+    k = 0
+    while k < len(u) and u[-1 - k] == v[-1 - k % n]:
+        k += 1
+    r = n - k % n
+    return UPWord(u[:len(u) - k], v[r:] + v[:r])
 
 
 def up_equal(x: UPWord, y: UPWord) -> bool:

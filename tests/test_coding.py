@@ -1,3 +1,6 @@
+import re
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +13,8 @@ from eraserlang import (
     encode,
     encode_up,
     in_block_stream,
+    in_coded_erasure_ladder,
+    in_erasure_ladder,
     parse_staged,
     parse_up,
     up_normalize,
@@ -61,6 +66,52 @@ def test_decode_of_any_code_prefix_is_coherent(word, cut):
     res = decode(text)
     assert res.symbols == word[:len(res.symbols)]
     assert encode(res.symbols) + res.dangling == text
+
+
+_LETTER_OR_CODE = re.compile(r"[01]|ab+a")
+_OPEN_CODE = re.compile(r"ab*")
+
+
+def literal_decode(text):
+    """decode by its definition: (symbols, dangling) or (message, position).
+
+    Take a letter or a whole code wherever one starts.  Where none does,
+    a code that runs to the end dangles, a code broken by any other
+    character is malformed at that character, a stray b is malformed
+    itself, and anything else is an unexpected character.
+    """
+    symbols = []
+    i = 0
+    while i < len(text):
+        block = _LETTER_OR_CODE.match(text, i)
+        if block:
+            token = block.group()
+            symbols.append(Eraser(len(token) - 2) if len(token) > 1
+                           else int(token))
+            i = block.end()
+            continue
+        code = _OPEN_CODE.match(text, i)
+        if code and code.end() == len(text):
+            return tuple(symbols), text[i:]
+        if code:
+            return "malformed code", code.end() + 1
+        if text[i] == "b":
+            return "malformed code", i + 1
+        return f"unexpected character {text[i]!r}", i + 1
+    return tuple(symbols), ""
+
+
+def test_decode_matches_the_literal_decoder():
+    for n in range(7):
+        for letters in product("01abx", repeat=n):
+            text = "".join(letters)
+            want = literal_decode(text)
+            try:
+                got = tuple(decode(text))
+            except MalformedInput as exc:
+                got = (str(exc), exc.position)
+                want = (f"{want[0]} at position {want[1]}", want[1])
+            assert got == want, text
 
 
 def test_encoding_is_injective_at_desk_scale():
@@ -125,6 +176,29 @@ def test_coded_staged_streams_are_block_streams(prefix, period):
     if top > 1:
         # the order-1 scanner must reject somewhere in the stream
         assert not in_block_stream(coded, 1)
+
+
+def short_words(max_len, min_len=0):
+    for n in range(min_len, max_len + 1):
+        for letters in product("01ab", repeat=n):
+            yield "".join(letters)
+
+
+def block_stream_by_regex(x, p):
+    """Blocks then at most one open block over the prefix and p + 3
+    copies: enough copies for any code to close or outgrow order p."""
+    blocks = re.compile(rf"(?:[01]|ab{{1,{p}}}a)*(?:ab{{0,{p}}})?")
+    return blocks.fullmatch(x.prefix + x.period * (p + 3)) is not None
+
+
+def test_block_streams_match_the_block_regex():
+    words = [UPWord(u, v) for u in short_words(3) for v in short_words(4, 1)]
+    for p in (1, 2, 3):
+        for x in words:
+            member = in_block_stream(x, p)
+            assert member == block_stream_by_regex(x, p), (x, p)
+            assert in_coded_erasure_ladder(x, p) == (
+                member and in_erasure_ladder(decode_up(x), p)), (x, p)
 
 
 def test_block_order_is_monotone():

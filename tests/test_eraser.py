@@ -43,11 +43,13 @@ def test_erase_rejects_mixed_kinds():
         erase((0, Eraser(1), Eraser(2)))
 
 
-@given(st.lists(st.sampled_from([0, 1, Eraser(1)]), max_size=12))
-def test_erase_agrees_with_stack_oracle(symbols):
+@given(st.integers(1, 3).flatmap(lambda j: st.tuples(
+    st.just(j), st.lists(st.sampled_from([0, 1, Eraser(j)]), max_size=12))))
+def test_erase_agrees_with_stack_oracle(case):
+    j, symbols = case
     word = tuple(symbols)
     out = erase(word)
-    ref = single_pass(word)
+    ref = single_pass(word, j)
     if ref is None:
         assert out.is_undefined
     else:

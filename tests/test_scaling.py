@@ -52,6 +52,16 @@ def test_cli_stage_count_costs_nothing(capsys):
     assert elapsed < 0.1
 
 
+def test_cli_erase_up_absorbs_a_long_prefix_at_once(capsys):
+    # the prefix is 200 copies of the period, all absorbed by normalizing
+    period = " ".join(["1"] + ["0"] * 1000)
+    t0 = time.perf_counter()
+    code = main(["erase", "--up", " ".join([period] * 200) + "|" + period])
+    elapsed = time.perf_counter() - t0
+    assert (code, capsys.readouterr().out) == (0, f"infinite: |{period}\n")
+    assert elapsed < 1
+
+
 def _query_everything(coded, staged):
     for w in coded:
         factorize(w)

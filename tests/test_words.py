@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +135,24 @@ def test_normalize_idempotent_and_equal(prefix, period):
     assert up_normalize(y) == y
     assert up_equal(x, y)
     assert y.period == primitive_root(y.period)
+
+
+def normalize_one_symbol_at_a_time(x):
+    """up_normalize by its definition: absorb the prefix's last symbol
+    while it equals the period's, rotating the period right each time."""
+    u, v = x.prefix, primitive_root(x.period)
+    while u and u[-1] == v[-1]:
+        u, v = u[:-1], v[-1:] + v[:-1]
+    return up(u, v)
+
+
+def test_up_normalize_matches_absorbing_one_symbol_at_a_time():
+    words = ["".join(w) for n in range(6) for w in product("01a", repeat=n)]
+    periods = [w for w in words if 1 <= len(w) <= 4]
+    for prefix in words:
+        for period in periods:
+            x = up(prefix, period)
+            assert up_normalize(x) == normalize_one_symbol_at_a_time(x), x
 
 
 @given(coded_words, coded_periods, coded_words, coded_periods)
