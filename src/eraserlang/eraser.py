@@ -11,6 +11,11 @@ j the active eraser is Eraser(j); letters and erasers of larger index
 are ordinary erasable material for it.  Erasers of smaller index cannot
 occur at stage j since earlier stages consumed them.
 
+``_pass_profile`` is the one single-stage pass, over finite prefixes and
+periods alike; ``_pipeline`` runs every stage over a finite word.
+``certificate_holds`` keeps a literal replay of its own, so that the
+checker shares no code with the evaluator whose certificates it checks.
+
 For an ultimately periodic word the net effect of one period on a
 sufficiently deep stack is a constant of the period alone: it pops some
 fixed number of symbols (``dig``) and then leaves a fixed pushed word on
@@ -83,19 +88,6 @@ class EvalOutcome(NamedTuple):
         return self.status == INFINITE
 
 
-def _pass_finite(word: Iterable, active: int) -> Optional[tuple]:
-    """One pass over a finite word; surviving stack, or None when stuck."""
-    stack = []
-    for sym in word:
-        if isinstance(sym, Eraser) and sym.index == active:
-            if not stack:
-                return None
-            stack.pop()
-        else:
-            stack.append(sym)
-    return tuple(stack)
-
-
 def _kinds(word: Iterable) -> list[int]:
     """The eraser index of each symbol, 0 for a letter."""
     return [sym.index if isinstance(sym, Eraser) else 0 for sym in word]
@@ -123,15 +115,17 @@ def _pipeline(kinds: list[int]) -> Optional[list[int]]:
     return list(alive)
 
 
-def _pass_profile(period: Iterable, active: int) -> tuple[int, tuple]:
-    """Net effect (dig, pushed) of one period pass on a deep stack.
+def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
+    """Net effect (dig, pushed) of one pass over a word on a deep stack.
 
     dig counts pops that reach below the stack level the pass started at;
-    both values depend only on the period, never on the stack content.
+    both values depend only on the word, never on the stack content.  On
+    an empty stack the pass is defined iff dig is 0, and pushed is then
+    the surviving word.
     """
     pushed = []
     dig = 0
-    for sym in period:
+    for sym in word:
         if isinstance(sym, Eraser) and sym.index == active:
             if pushed:
                 pushed.pop()
@@ -160,26 +154,19 @@ def erase(word: StagedWord) -> EvalOutcome:
 
 
 def _erase_up_stage(x: UPWord, active: int) -> EvalOutcome:
-    base = _pass_finite(x.prefix, active)
-    if base is None:
-        return EvalOutcome.undefined()
+    starved, base = _pass_profile(x.prefix, active)
     dig, pushed = _pass_profile(x.period, active)
-    if len(pushed) > dig:
-        # net growth: defined iff the very first period has enough to dig
-        if len(base) < dig:
-            return EvalOutcome.undefined()
-        body = base[:len(base) - dig]
-        tail = pushed[:len(pushed) - dig]
-        cert = LoopCertificate(warmup_periods=0, loop_periods=1,
-                               popped=dig, pushed=pushed)
-        return EvalOutcome.infinite(up_normalize(UPWord(body, tail)), cert)
+    # the first period digs deepest: each later one digs into the push
+    # of the one before it, and a push shorter than dig runs dry
+    if starved or len(base) < dig or len(pushed) < dig:
+        return EvalOutcome.undefined()
+    body = base[:len(base) - dig]
     if len(pushed) == dig:
-        # each period erases exactly what the previous one pushed
-        if len(base) < dig:
-            return EvalOutcome.undefined()
-        return EvalOutcome.finite(base[:len(base) - dig])
-    # net shrink: the stack is exhausted after finitely many periods
-    return EvalOutcome.undefined()
+        return EvalOutcome.finite(body)
+    cert = LoopCertificate(warmup_periods=0, loop_periods=1,
+                           popped=dig, pushed=pushed)
+    tail = pushed[:len(pushed) - dig]
+    return EvalOutcome.infinite(up_normalize(UPWord(body, tail)), cert)
 
 
 def erase_up(x: UPWord) -> EvalOutcome:
@@ -191,15 +178,20 @@ def erase_up(x: UPWord) -> EvalOutcome:
     return _erase_up_stage(x, active)
 
 
-def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
-    """Run passes for stages 1..stages over a finite word."""
+def _check_stages(indices: Iterable[int], stages: int) -> None:
+    """Reject a stage count below 1 or an eraser index above it."""
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    kinds = _kinds(word)
-    top = max(kinds, default=0)
+    top = max(indices, default=0)
     if top > stages:
         raise MalformedInput(
             f"eraser index {top} exceeds stage bound {stages}")
+
+
+def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
+    """Run passes for stages 1..stages over a finite word."""
+    kinds = _kinds(word)
+    _check_stages(kinds, stages)
     alive = _pipeline(kinds)
     if alive is None:
         return EvalOutcome.undefined()
@@ -217,13 +209,8 @@ def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
     same way at every such stage, so only stage 1 (it normalizes x), the
     stages of the erasers in x and, when needed, the last stage run.
     """
-    if stages < 1:
-        raise ValueError("stage count must be >= 1")
     used = _eraser_indices(tuple(x.prefix) + tuple(x.period))
-    top = max(used, default=0)
-    if top > stages:
-        raise MalformedInput(
-            f"eraser index {top} exceeds stage bound {stages}")
+    _check_stages(used, stages)
     run = sorted(used | {1})
     if run[-1] < stages:
         run.append(stages)
@@ -239,16 +226,22 @@ def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
 
 
 def certificate_holds(x: UPWord, cert: LoopCertificate) -> bool:
-    """Replay a certificate against the literal stack simulation."""
-    active = _single_kind(tuple(x.prefix) + tuple(x.period))
-    stack = _pass_finite(x.prefix, active)
-    if stack is None:
-        return False
-    stack = list(stack)
+    """Replay a certificate against the literal stack simulation.
 
-    def run_period() -> bool:
-        nonlocal low
-        for sym in x.period:
+    Only a witness of an Infinite outcome holds: its loop runs at least
+    one period and pushes more than it pops, so the stack grows for ever.
+    """
+    if (cert.warmup_periods < 0 or cert.loop_periods < 1
+            or len(cert.pushed) <= cert.popped):
+        return False
+    active = _single_kind(tuple(x.prefix) + tuple(x.period))
+    stack: list = []
+    start = low = 0
+    # segment 0 is the prefix, segment n >= 1 the n-th period
+    for n in range(cert.warmup_periods + cert.loop_periods + 1):
+        if n == cert.warmup_periods + 1:
+            start = low = len(stack)
+        for sym in x.period if n else x.prefix:
             if isinstance(sym, Eraser) and sym.index == active:
                 if not stack:
                     return False
@@ -256,15 +249,4 @@ def certificate_holds(x: UPWord, cert: LoopCertificate) -> bool:
                 low = min(low, len(stack))
             else:
                 stack.append(sym)
-        return True
-
-    low = len(stack)
-    for _ in range(cert.warmup_periods):
-        if not run_period():
-            return False
-    start = len(stack)
-    low = start
-    for _ in range(cert.loop_periods):
-        if not run_period():
-            return False
     return start - low == cert.popped and tuple(stack[low:]) == cert.pushed

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .words import (Eraser, MalformedInput, StagedWord, UPWord, parse_binary,
                     parse_coded, up_prefix)
-from .eraser import _kinds, _pass_finite, _pipeline, staged_erase_up
+from .eraser import _kinds, _pass_profile, _pipeline, staged_erase_up
 from .coding import _OUT, _scan_step, decode, decode_up, encode
 
 
@@ -114,7 +114,7 @@ def viable_prefix(word: str) -> bool:
         res = decode(word)
     except MalformedInput:
         return False
-    return _pass_finite(res.symbols, 1) is not None
+    return _pass_profile(res.symbols, 1)[0] == 0
 
 
 # ----------------------------------------------------------- omega words

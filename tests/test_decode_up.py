@@ -1,13 +1,14 @@
 """decode_up against decode on long unrolled prefixes.
 
-decode_up carries the scanner state (outside a code, or inside one with
-j b's) across period boundaries until a boundary state repeats.  A
-decodable word needs at most two boundary states: the one after the
-prefix and the one every later copy ends in (its period holds an even
-number of a's, so each copy leaves the scanner inside or outside a code
-as it found it).  A malformed word raises decode's message and position
-on the unrolled word; a code that stays open for ever raises "code never
-closes".
+decode_up decodes the prefix with decode, then one period copy at a
+time, each behind the code left open at the end of the one before it.
+A decodable word needs at most two boundary open codes: the one after
+the prefix and the one every later copy ends in (its period holds an
+even number of a's, so each copy leaves a code open or closed as it
+found it).  The staged period is read off between two boundaries that
+leave the same open code.  A malformed word raises decode's message and
+position on the unrolled word; a code that stays open for ever raises
+"code never closes".
 """
 
 import time

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from eraserlang import (
     Eraser,
+    LoopCertificate,
     MalformedInput,
     UPWord,
     certificate_holds,
@@ -22,6 +24,16 @@ from oracles import pipeline, single_pass, take
 
 def sup(text):
     return parse_up(text, kind="staged")
+
+
+def short_up_words(alphabet):
+    """Every word with a prefix of at most 3 and a period of 1 to 3
+    symbols over the alphabet."""
+    for m in range(4):
+        for prefix in product(alphabet, repeat=m):
+            for n in range(1, 4):
+                for period in product(alphabet, repeat=n):
+                    yield UPWord(prefix, period)
 
 
 # -------------------------------------------------- single eraser, finite
@@ -104,12 +116,14 @@ def test_finite_truncations_stabilize_with_fixed_tail():
 def test_truncation_coherence_random_words():
     rng = random.Random(7)
     alphabet = [0, 1, Eraser(1)]
+    random_words = []
     for _ in range(150):
         prefix = tuple(rng.choice(alphabet)
                        for _ in range(rng.randrange(0, 4)))
         period = tuple(rng.choice(alphabet)
                        for _ in range(rng.randrange(1, 5)))
-        x = UPWord(prefix, period)
+        random_words.append(UPWord(prefix, period))
+    for x in random_words + list(short_up_words(alphabet)):
         out = erase_up(x)
         outs = _truncation_outcomes(x, 30, 50)
         if out.is_undefined:
@@ -125,6 +139,69 @@ def test_truncation_coherence_random_words():
                 assert res[:keep] == take(out.up, keep)
             for shorter, longer in zip(outs, outs[1:]):
                 assert len(shorter) < len(longer)
+
+
+def test_certificate_holds_rejects_non_witnesses():
+    # each replays literally, but no loop of them makes the stack grow
+    x = sup("|0 E1")
+    assert erase_up(x).word == ()
+    for cert in [(0, 1, 0, ()), (0, 0, 0, ()), (-1, 1, 0, ()),
+                 (0, -1, 0, ()), (-1, 0, 0, ())]:
+        assert not certificate_holds(x, LoopCertificate(*cert))
+    y = sup("1|E1 1")
+    assert erase_up(y).word == ()
+    assert not certificate_holds(y, LoopCertificate(0, 1, 1, (1,)))
+    z = sup("|0 1 E1")
+    assert certificate_holds(z, erase_up(z).certificate)
+    assert not certificate_holds(z, LoopCertificate(0, 0, 0, ()))
+
+
+def loop_effect(x, warmup, loops, j):
+    """(popped, pushed) of loops periods run after the prefix and warmup
+    periods, read off the stacks of the unrolled truncations; None when
+    one of them starves."""
+    start = len(x.prefix) + warmup * len(x.period)
+    stacks = [single_pass(take(x, t), j)
+              for t in range(start, start + loops * len(x.period) + 1)]
+    if None in stacks:
+        return None
+    low = min(map(len, stacks))
+    return len(stacks[0]) - low, stacks[-1][low:]
+
+
+def replay_holds(x, cert, j):
+    """A certificate holds iff its loop runs, grows the stack, and
+    matches the literal effect of its periods."""
+    if cert.warmup_periods < 0 or cert.loop_periods < 1:
+        return False
+    return (len(cert.pushed) > cert.popped
+            and loop_effect(x, cert.warmup_periods, cert.loop_periods, j)
+            == (cert.popped, cert.pushed))
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_certificate_replay_matches_unrolled_truncations(j):
+    verdicts = set()
+    for x in short_up_words([0, 1, Eraser(j)]):
+        out = erase_up(x)
+        if out.is_infinite:
+            cert = out.certificate
+            assert certificate_holds(x, cert)
+        else:
+            # the period's effect on a stack deep enough for it
+            deep = UPWord((0,) * len(x.period), x.period)
+            cert = LoopCertificate(0, 1, *loop_effect(deep, 0, 1, j))
+        popped, pushed = cert.popped, cert.pushed
+        for c in [cert, cert._replace(popped=popped + 1),
+                  cert._replace(popped=popped - 1),
+                  cert._replace(pushed=pushed[:-1]),
+                  cert._replace(pushed=pushed + (0,)),
+                  cert._replace(warmup_periods=cert.warmup_periods + 1),
+                  cert._replace(loop_periods=2)]:
+            verdict = certificate_holds(x, c)
+            assert verdict == replay_holds(x, c, j), (x, c)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------ staged mode

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from eraserlang import Eraser, MalformedInput, UPWord, staged_erase_up
 from eraserlang.cli import main
-from eraserlang.eraser import EvalOutcome, _erase_up_stage, _pass_finite
+from eraserlang.eraser import EvalOutcome, _erase_up_stage
+
+from oracles import single_pass
 
 symbols = [0, 1, Eraser(1), Eraser(2), Eraser(3), Eraser(4)]
 # a gap: Eraser(3) and Eraser(4) but never Eraser(2)
@@ -36,7 +38,7 @@ def every_stage(x, stages):
         if up is not None:
             out = _erase_up_stage(up, j)
         else:
-            stack = _pass_finite(word, j)
+            stack = single_pass(word, j)
             out = (EvalOutcome.undefined() if stack is None
                    else EvalOutcome.finite(stack))
         if out.is_undefined:
