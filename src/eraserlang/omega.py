@@ -28,10 +28,11 @@ from functools import lru_cache
 from itertools import accumulate, count, product
 from typing import Iterator, NamedTuple, Optional
 
-from .words import (Eraser, MalformedInput, StagedWord, UPWord, parse_binary,
-                    parse_coded, up_prefix)
+from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
+                    up_prefix)
 from .eraser import _kinds, _pass_profile, _pipeline, staged_erase_up
 from .coding import _OUT, _scan_step, decode, decode_up, encode
+from .staged import _vanishing_rows
 
 
 # ---------------------------------------------------------------- pads
@@ -222,20 +223,6 @@ def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
                 stack.append((w + ch, nxt, depth - 1))
 
 
-def _staged_by_cost(budget: int) -> Iterator[tuple[StagedWord, int]]:
-    """All staged words whose coded length fits the budget, with that
-    length; letters cost 1, Eraser(j) costs j + 2."""
-    stack: list[tuple[StagedWord, int]] = [((), 0)]
-    while stack:
-        word, cost = stack.pop()
-        yield word, cost
-        if cost + 1 <= budget:
-            stack.append((word + (0,), cost + 1))
-            stack.append((word + (1,), cost + 1))
-        for j in range(1, budget - cost - 1):
-            stack.append((word + (Eraser(j),), cost + j + 2))
-
-
 def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
     """Every prefix of length up to n of the encoding of a staged viable
     prefix over indices up to p, each once.
@@ -304,19 +291,17 @@ def verify_intersection_identity(p: int, n: int,
 # ----------------------------------------------------- factor enumeration
 #
 # The factors are enumerated one row per length, built constructively from
-# pads, unlike is_factor's pipeline run, so the two routes can cross-check
-# each other.  A row asks for the shorter rows in increasing length, each
-# of which finds its own shorter rows built, so no call recurses more than
-# one row deep.
+# pads, which come from staged._vanishing_rows and not from a pipeline run
+# as in is_factor, so the two routes can cross-check each other.  A row
+# asks for the shorter rows in increasing length, each of which finds its
+# own shorter rows built, so no call recurses more than one row deep.
 
 @lru_cache(maxsize=None)
 def _pad_row(m: int) -> tuple[str, ...]:
-    """The sorted encodings of the vanishing staged words coded m long."""
-    # a vanishing word pairs every symbol off with another, so odd
-    # lengths can be skipped outright
-    return tuple(sorted(encode(word) for word, cost in _staged_by_cost(m)
-                        if cost == m and not len(word) % 2
-                        and _pipeline(_kinds(word)) == []))
+    """The sorted encodings of the vanishing staged words coded m long;
+    Eraser(m - 2) is the highest eraser whose code fits."""
+    rows = _vanishing_rows(m - 2, lambda sym: len(encode((sym,))), m)
+    return tuple(sorted(map(encode, rows[m])))
 
 
 @lru_cache(maxsize=None)

@@ -7,14 +7,14 @@ the empty word.  The k = 1 language is also generated by the grammar
     S -> a S E S   (a in {0, 1}, E the single eraser)
     S -> empty
 
-and the grammar decider below is kept independent of the eraser engine
-so the two can check each other.
+and neither the grammar decider nor the generator of the vanishing
+words below calls the eraser engine, so each can check the engine.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Optional
+from itertools import chain, product
+from typing import Callable, Iterator, Optional
 
 from .words import Eraser, MalformedInput, StagedWord
 from .eraser import _kinds, _pipeline
@@ -66,8 +66,40 @@ def vanishes(word: StagedWord, stages: int) -> bool:
     return max(kinds, default=0) <= stages and _pipeline(kinds) == []
 
 
-def _alphabet(stages: int) -> list:
-    return [0, 1] + [Eraser(j) for j in range(1, stages + 1)]
+def _vanishing_rows(top: int, cost: Callable, budget: int) -> list[dict]:
+    """Row m maps every vanishing staged word over indices <= top of total
+    cost m to its lowest eraser index (top + 1 for the empty word).
+
+    Letters cost 1 and an eraser's cost never falls as its index grows.
+    Each row is grown from the cheaper ones by inserting an adjacent pair
+    x Eraser(j), x a letter or an eraser above j, into a word whose
+    lowest index is at least j, at every position up to its first
+    Eraser(j).  Sound: no stage below j sees the pair, and stage j
+    pushes x and pops it at once, so every stage outputs what it did on
+    the shorter word.  Complete: the lowest stage j of a nonempty
+    vanishing word sees the word itself, so its first Eraser(j) pops the
+    symbol just before it, a letter or a higher eraser; without those
+    two the word still vanishes, by the same argument, and holds no index
+    below j.  That pair is the inserted one, so each word is made once.
+    """
+    rows = [{(): top + 1}]
+    for m in range(1, budget + 1):
+        row: dict[StagedWord, int] = {}
+        for j in range(1, top + 1):  # erasers made lazily: top may be huge
+            eraser = Eraser(j)
+            rest = m - cost(eraser)
+            if rest < 1:  # no room left for the erased symbol
+                break
+            for x in chain((0, 1), map(Eraser, range(j + 1, top + 1))):
+                if cost(x) > rest:
+                    break
+                for w, low in rows[rest - cost(x)].items():
+                    if low >= j:
+                        first = w.index(eraser) if low == j else len(w)
+                        for i in range(first + 1):
+                            row[w[:i] + (x, eraser) + w[i:]] = j
+        rows.append(row)
+    return rows
 
 
 def vanishing_words(stages: int, max_len: int) -> list[StagedWord]:
@@ -75,15 +107,11 @@ def vanishing_words(stages: int, max_len: int) -> list[StagedWord]:
     the symbol order 0 < 1 < Eraser(1) < .. < Eraser(stages)."""
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    alphabet = _alphabet(stages)
-    found: list[StagedWord] = [()]
-    for length in range(1, max_len + 1):
-        if length % 2 == 1:
-            continue  # members pair every eraser with one erased symbol
-        for word in product(alphabet, repeat=length):
-            if vanishes(word, stages):
-                found.append(word)
-    return found
+    # symbol ranks as sort keys: encodings would order the words alike,
+    # but grow with the eraser index
+    rows = _vanishing_rows(stages, lambda sym: 1, max_len)
+    return [w for row in rows for w in sorted(row, key=lambda word: [
+        sym.index + 1 if isinstance(sym, Eraser) else sym for sym in word])]
 
 
 def min_stages(word: StagedWord) -> Optional[int]:
@@ -99,6 +127,6 @@ def min_stages(word: StagedWord) -> Optional[int]:
 
 def words_over(stages: int, max_len: int) -> Iterator[StagedWord]:
     """Every staged word up to max_len over the stage-k alphabet."""
-    alphabet = _alphabet(stages)
+    alphabet = [0, 1] + [Eraser(j) for j in range(1, stages + 1)]
     for length in range(max_len + 1):
         yield from product(alphabet, repeat=length)

@@ -80,9 +80,7 @@ class Eraser:
         return Eraser, (self.index,)
 
 
-StagedSymbol = Union[int, Eraser]
 StagedWord = tuple
-CodedWord = str
 # a finite word of either universe
 AnyWord = Union[str, tuple]
 

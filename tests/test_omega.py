@@ -30,7 +30,9 @@ from eraserlang import (
     words_over,
 )
 
-from oracles import vanishes_brute, viable_by_extension
+from eraserlang.omega import _pad_row
+
+from oracles import pipeline, vanishes_brute, viable_by_extension
 
 E1, E2 = Eraser(1), Eraser(2)
 
@@ -222,6 +224,33 @@ def test_row_sizes_are_pinned():
         lengths.append(len(w))
     sizes = [lengths.count(n) for n in range(1, 14)]
     assert sizes == [1, 1, 1, 1, 3, 7, 13, 22, 42, 82, 158, 295, 567]
+
+
+def test_pad_row_sizes_are_pinned():
+    sizes = [len(_pad_row(m)) for m in range(17)]
+    assert sizes == [1, 0, 0, 0, 2, 2, 2, 3, 11, 16, 24, 37, 91, 140, 244,
+                     409, 848]
+
+
+def _staged_words_coded(m):
+    """Every staged word whose coding is m letters long, symbol by symbol;
+    a letter is coded in one letter and Eraser(j) in j + 2."""
+    if m == 0:
+        yield ()
+        return
+    symbols = [(0, 1), (1, 1)] + [(Eraser(j), j + 2) for j in range(1, m - 1)]
+    for sym, cost in symbols:
+        if cost <= m:
+            for rest in _staged_words_coded(m - cost):
+                yield (sym,) + rest
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_pad_rows_match_a_literal_walk(m):
+    # no index reaches m, so m stages run every eraser's stage
+    walked = [encode(w) for w in _staged_words_coded(m)
+              if pipeline(w, m) == ()]
+    assert _pad_row(m) == tuple(sorted(walked))
 
 
 def test_factor_index_does_not_depend_on_call_order():

@@ -3,14 +3,20 @@
 The deciders keep no state between calls and recurse nowhere, so their
 cost follows the word alone: nesting depth does not touch the
 interpreter's recursion limit, stages without an eraser in the word
-cost nothing, and a run of queries leaves no memory behind.
+cost nothing, and a run of queries leaves no memory behind.  The
+enumerations build only words that fit the length asked for, so a huge
+stage count costs nothing when no eraser fits.
 """
 
 import gc
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+import eraserlang
 from eraserlang import (
     Eraser,
     factorize,
@@ -87,3 +93,25 @@ def test_queries_retain_no_memory():
     _query_everything(coded, staged)
     gc.collect()
     assert sys.getallocatedblocks() - before < 500
+
+
+def test_cli_huge_stage_count_lists_erasers_lazily(capsys):
+    t0 = time.perf_counter()
+    code = main(["enumerate", "lk", "--k", "1000000", "--max-len", "1"])
+    elapsed = time.perf_counter() - t0
+    assert (code, capsys.readouterr().out) == (0, "\n")
+    assert elapsed < 0.5
+
+
+def test_cold_enumeration_reaches_a_far_index():
+    # a fresh interpreter, so no row is built before the call
+    code = ("from eraserlang import nth_factor; "
+            "print(nth_factor(16000))")
+    src = str(Path(eraserlang.__file__).parents[1])
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    elapsed = time.perf_counter() - t0
+    assert done.stdout == "00000000aba0000001\n"
+    assert elapsed < 2

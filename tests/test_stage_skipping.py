@@ -3,7 +3,9 @@
 staged_erase_up runs only stage 1, the stages of the erasers that occur
 in the word and one stage standing for all the others above them.  Its
 outcomes, certificates included, must equal those of running every
-stage, which this file does with the library's single-stage evaluator.
+stage, which this file does stage by stage: while the outcome stays
+ultimately periodic a stage runs through the library's _erase_up_stage,
+and once it is finite through oracles.single_pass.
 """
 
 import time

@@ -76,12 +76,13 @@ def test_vanishing_words_pinned_lists():
     assert vanishing_words(1, 0) == [()]
 
 
-def test_vanishing_words_order_and_completeness():
-    alphabet = [0, 1, E1, E2]
-    expected = [w for length in (0, 1, 2, 3, 4)
+@pytest.mark.parametrize("k, max_len", [(1, 8), (2, 6), (3, 5), (4, 4)])
+def test_vanishing_words_order_and_completeness(k, max_len):
+    alphabet = [0, 1] + [Eraser(j) for j in range(1, k + 1)]
+    expected = [w for length in range(max_len + 1)
                 for w in product(alphabet, repeat=length)
-                if vanishes_brute(w, 2)]
-    assert vanishing_words(2, 4) == expected
+                if vanishes_brute(w, k)]
+    assert vanishing_words(k, max_len) == expected
 
 
 def test_vanishing_words_validates_stage_count():
