@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, count, product
+from itertools import accumulate, count
 from typing import Iterator, NamedTuple, Optional
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
@@ -292,9 +292,10 @@ def verify_intersection_identity(p: int, n: int,
 #
 # The factors are enumerated one row per length, built constructively from
 # pads, which come from staged._vanishing_rows and not from a pipeline run
-# as in is_factor, so the two routes can cross-check each other.  A row
-# asks for the shorter rows in increasing length, each of which finds its
-# own shorter rows built, so no call recurses more than one row deep.
+# as in is_factor; the tests check the rows against an is_factor filter
+# over all coded words.  A row asks for the shorter rows in increasing
+# length, each of which finds its own shorter rows built, so no call
+# recurses more than one row deep.
 
 @lru_cache(maxsize=None)
 def _pad_row(m: int) -> tuple[str, ...]:
@@ -336,15 +337,8 @@ def factor_index(word: str) -> Optional[int]:
 
 
 def factor_words(max_len: int) -> list[str]:
-    """Every factor of length up to max_len, by filtered scan over all
-    coded words (deliberately not the constructive enumeration)."""
-    found = []
-    for length in range(1, max_len + 1):
-        for tup in product("01ab", repeat=length):
-            w = "".join(tup)
-            if is_factor(w):
-                found.append(w)
-    return found
+    """Every factor of length up to max_len, in the order of nth_factor."""
+    return [w for n in range(1, max_len + 1) for w in _factor_row(n)]
 
 
 # ------------------------------------------------------- index pairings

@@ -8,7 +8,7 @@ compares the two sides points at a real defect when it fails.
 
 from itertools import product
 
-from eraserlang import Eraser, UPWord, factorize, nth_factor
+from eraserlang import Eraser, UPWord, factorize, is_factor, nth_factor
 
 
 def take(x: UPWord, n: int):
@@ -74,11 +74,19 @@ def staged_words(max_len, top_index):
         yield from product(alphabet, repeat=length)
 
 
+def factors_by_filter(max_len):
+    """Every factor up to max_len: each coded word, shortest first, then
+    0 < 1 < a < b, that is_factor accepts."""
+    words = ("".join(tup) for n in range(1, max_len + 1)
+             for tup in product("01ab", repeat=n))
+    return [w for w in words if is_factor(w)]
+
+
 def factor_rows(max_len):
     """Factors grouped by length, taken from the library enumeration.
 
-    The enumeration itself is cross-checked elsewhere against the
-    filter route, so the rows can serve as ground truth here.
+    The enumeration itself is cross-checked elsewhere against
+    factors_by_filter, so the rows can serve as ground truth here.
     """
     rows = {}
     i = 0

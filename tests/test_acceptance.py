@@ -33,6 +33,7 @@ from eraserlang import (
 from oracles import (
     concat_members,
     factor_rows,
+    factors_by_filter,
     min_stages_brute,
     prefix_oracle,
     staged_words,
@@ -199,7 +200,7 @@ def test_criterion_09_enumeration_soundness():
     keys = [(len(w), w) for w in words]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert words[1000] == "0abba1abba001"
-    listed = factor_words(6)
+    listed = factors_by_filter(6)
     assert listed == words[:len(listed)]
     _report("criterion 09",
             f"1001 factors monotone, first {len(listed)} gap free",

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -32,7 +33,8 @@ from eraserlang import (
 
 from eraserlang.omega import _pad_row
 
-from oracles import pipeline, vanishes_brute, viable_by_extension
+from oracles import (factors_by_filter, pipeline, vanishes_brute,
+                     viable_by_extension)
 
 E1, E2 = Eraser(1), Eraser(2)
 
@@ -201,8 +203,15 @@ def test_factor_words_examples():
     assert factor_words(2) == ["1", "01"]
 
 
+def test_factor_words_output_is_pinned():
+    words = factor_words(12)
+    text = "".join(w + "\n" for w in words)
+    assert (len(words), hashlib.sha1(text.encode()).hexdigest()) == (
+        626, "0d9359d4858369cd096f54cff6a547f065d9d589")
+
+
 def test_both_enumeration_routes_agree():
-    filtered = factor_words(7)
+    filtered = factors_by_filter(7)
     constructive = []
     i = 0
     while len(w := nth_factor(i)) <= 7:

@@ -115,3 +115,18 @@ def test_cold_enumeration_reaches_a_far_index():
     elapsed = time.perf_counter() - t0
     assert done.stdout == "00000000aba0000001\n"
     assert elapsed < 2
+
+
+def test_cli_enumerates_long_factors_from_the_rows():
+    # a fresh interpreter, as a shell user runs it; the timeout turns a
+    # blow-up into a failure instead of a hang
+    src = str(Path(eraserlang.__file__).parents[1])
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "eraserlang.cli", "enumerate", "hv",
+         "--max-len", "16"],
+        capture_output=True, text=True, check=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src))
+    elapsed = time.perf_counter() - t0
+    assert len(done.stdout.splitlines()) == 8304
+    assert elapsed < 2

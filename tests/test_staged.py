@@ -90,6 +90,12 @@ def test_vanishing_words_validates_stage_count():
         vanishing_words(0, 4)
 
 
+def test_vanishing_words_share_one_eraser_per_index():
+    erasers = [s for w in vanishing_words(50, 2) for s in w
+               if isinstance(s, Eraser)]
+    assert len({id(s) for s in erasers}) == len({s.index for s in erasers})
+
+
 # ----------------------------------------------------------- chain shape
 
 def test_languages_grow_with_the_stage_count():
