@@ -11,8 +11,11 @@ j the active eraser is Eraser(j); letters and erasers of larger index
 are ordinary erasable material for it.  Erasers of smaller index cannot
 occur at stage j since earlier stages consumed them.
 
-``_pass_profile`` is the one single-stage pass, over finite prefixes and
-periods alike; ``_pipeline`` runs every stage over a finite word.
+Each job has one pass.  ``_pass_profile`` is the single-stage profile,
+over finite prefixes and periods alike; ``_pipeline`` runs every stage
+over a finite word and returns the survivors' positions (for
+evaluation and factor cuts); ``_vanishes_kinds`` runs them too but
+gives only the verdict "erased to nothing", tracking no positions.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -113,6 +116,48 @@ def _pipeline(kinds: list[int]) -> Optional[list[int]]:
                 return None
         alive = stack
     return list(alive)
+
+
+def _vanishes_kinds(kinds: list[int], stages: int) -> bool:
+    """Does the pipeline of stages 1..stages erase the word given by its
+    _kinds to nothing?  A word with an index above stages lies outside
+    the alphabet, so it is no member.
+
+    A word of odd length never vanishes: each active eraser of a stage
+    removes itself and one symbol before it, so every stage removes an
+    even number of symbols and the empty word has even length.  The
+    verdict needs no survivor positions: the stages below the top index
+    carry kind values, and the top stage keeps only its stack depth, as
+    no later stage reads what it leaves.
+    """
+    if len(kinds) % 2:
+        return False
+    actives = sorted(set(kinds) - {0})
+    if not actives:
+        return not kinds
+    *lower, top = actives
+    if top > stages:
+        return False
+    for active in lower:
+        stack: list[int] = []
+        push, pop = stack.append, stack.pop
+        for k in kinds:
+            if k != active:
+                push(k)
+            elif stack:
+                pop()
+            else:
+                return False
+        kinds = stack
+    depth = 0
+    for k in kinds:
+        if k != top:
+            depth += 1
+        elif depth:
+            depth -= 1
+        else:
+            return False
+    return depth == 0
 
 
 def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:

@@ -9,6 +9,12 @@ the empty word.  The k = 1 language is also generated by the grammar
 
 and neither the grammar decider nor the generator of the vanishing
 words below calls the eraser engine, so each can check the engine.
+
+Every member has even length: each stage's active erasers remove
+themselves and one symbol each, so every stage removes an even number
+of symbols.  The generator rests on the same pair fact, and ``vanishes``
+refuses an odd word before any stage runs.  The grammar decider is one
+loop: its parse stack is always S (E S)^h, so the height h stands for it.
 """
 
 from __future__ import annotations
@@ -18,53 +24,50 @@ from itertools import chain, product
 from typing import Callable, Iterator, Optional
 
 from .words import Eraser, MalformedInput, StagedWord
-from .eraser import _kinds, _pipeline
-
-_S, _E = 0, 1  # grammar symbols on the parse stack: the nonterminal, E1
+from .eraser import _kinds, _vanishes_kinds
 
 
 def vanishes_by_grammar(word: StagedWord) -> bool:
     """Stage-1 membership by grammar derivation alone.
 
     Only letters and Eraser(1) may appear; other indices are outside the
-    grammar's alphabet and rejected as malformed.
+    grammar's alphabet and rejected as malformed, also behind a prefix
+    that already fails.
+
+    This is the predictive LL(1) parse of S -> a S E S | empty, one loop
+    over the word.  Its stack of grammar symbols still to be derived is
+    always S (E S)^h, top last: it starts as S, a letter replaces the
+    top S by S E S (S -> a S E S, a matched) and an eraser drops the top
+    S and matches the E under it (S -> empty).  So the height h is the
+    whole stack: a letter adds one, an eraser on h = 0 finds no E to
+    match, and the input is derived iff it ends at h = 0 (S -> empty).
     """
+    height = 0
+    starved = False
     for sym in word:
-        if isinstance(sym, Eraser) and sym.index != 1:
+        if not isinstance(sym, Eraser):
+            height += 1
+        elif sym.index != 1:
             raise MalformedInput(
                 f"eraser index {sym.index} is outside the one-stage alphabet")
-    return _derivable(word)
-
-
-def _derivable(w: StagedWord) -> bool:
-    """Predictive LL(1) parse of S -> a S E S | empty on an explicit stack.
-
-    The stack holds the grammar symbols still to be derived, top last.
-    Whenever a symbol is read its top is S, because every E is pushed
-    with an S above it; one symbol of lookahead then picks the rule.
-    """
-    stack = [_S]
-    for sym in w:
-        if isinstance(sym, Eraser):
-            stack.pop()  # S -> empty
-            if not stack:
-                return False
-            stack.pop()  # match E
+        elif height:
+            height -= 1
         else:
-            stack += (_E, _S)  # S -> a S E S, a matched
-    return len(stack) == 1  # S -> empty at the end of input
+            starved = True
+    return not starved and height == 0
 
 
 def vanishes(word: StagedWord, stages: int) -> bool:
     """Does the stage pipeline erase the word to nothing?
 
     Words using eraser indices above the stage count are simply not
-    members (they are outside the alphabet), not an error.
+    members (they are outside the alphabet), not an error.  A member has
+    even length, since every stage removes its erasers in pairs with the
+    symbols they pop, so an odd word is refused before any stage runs.
     """
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    kinds = _kinds(word)
-    return max(kinds, default=0) <= stages and _pipeline(kinds) == []
+    return _vanishes_kinds(_kinds(word), stages)
 
 
 def _vanishing_rows(top: int, cost: Callable, budget: int) -> list[dict]:
@@ -122,9 +125,9 @@ def min_stages(word: StagedWord) -> Optional[int]:
     Membership is monotone in the stage count and constant once every
     index in the word is covered, so only one pipeline run is needed.
     """
-    top = max((s.index for s in word if isinstance(s, Eraser)), default=0)
-    candidate = max(top, 1)
-    return candidate if vanishes(word, candidate) else None
+    kinds = _kinds(word)
+    candidate = max(kinds, default=0) or 1
+    return candidate if _vanishes_kinds(kinds, candidate) else None
 
 
 def words_over(stages: int, max_len: int) -> Iterator[StagedWord]:

@@ -29,7 +29,7 @@ from eraserlang import (
 )
 from eraserlang.cli import main
 
-E1 = Eraser(1)
+E1, E2, E3 = Eraser(1), Eraser(2), Eraser(3)
 
 
 def test_grammar_decides_deep_nesting_without_recursion():
@@ -40,6 +40,23 @@ def test_grammar_decides_deep_nesting_without_recursion():
     assert vanishes(member, 1)
     assert not vanishes_by_grammar(member[:-1])
     assert not vanishes_by_grammar((0,) + member[1:] + (E1,))
+
+
+def test_vanishes_decides_a_long_nested_member_at_once():
+    m = 16667
+    # stage 1 pops the inner 0s, stage 2 the E3s, stage 3 the outer 0s
+    member = ((0,) * m + (E3,) * m + (0,) * m + (E1,) * m + (E2,) * m
+              + (E3,) * m)
+    assert len(member) > 10 ** 5
+    t0 = time.perf_counter()
+    assert vanishes(member, 3)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1
+    assert not vanishes(member[:-1], 3)
+    # odd, so refused before any stage runs
+    assert not vanishes(member[:-1] + (0, E3), 3)
+    # even, so every stage runs, and stage 3 is left with two letters
+    assert not vanishes(member[:-1] + (0,), 3)
 
 
 def test_stages_without_erasers_cost_nothing():

@@ -1,21 +1,24 @@
-from itertools import product
+from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eraserlang import (
     Eraser,
     MalformedInput,
+    encode,
     min_stages,
     parse_staged,
     vanishes,
     vanishes_by_grammar,
+    vanishes_coded,
     vanishing_words,
     words_over,
 )
 
 from oracles import min_stages_brute, pipeline, vanishes_brute
 
-E1, E2, E3 = Eraser(1), Eraser(2), Eraser(3)
+E1, E2, E3, E4 = Eraser(1), Eraser(2), Eraser(3), Eraser(4)
 
 
 # ----------------------------------------------------------- the grammar
@@ -31,6 +34,13 @@ def test_grammar_examples():
 def test_grammar_rejects_foreign_indices():
     with pytest.raises(MalformedInput):
         vanishes_by_grammar((0, E2))
+
+
+@pytest.mark.parametrize("word", [(E1, E2), (0, E1, E1, E3), (1, 0, E4)])
+def test_grammar_checks_indices_behind_a_failing_prefix(word):
+    # each prefix before the foreign index is already no member
+    with pytest.raises(MalformedInput, match="outside the one-stage"):
+        vanishes_by_grammar(word)
 
 
 def test_grammar_agrees_with_pipeline():
@@ -62,9 +72,33 @@ def test_empty_word_is_in_every_language():
 
 
 def test_vanishes_agrees_with_brute_pipeline():
-    for word in words_over(3, 5):
-        for k in range(1, 4):
+    # length 7 holds even words that use three stages and vanish
+    for word in words_over(3, 7):
+        for k in range(1, 5):
             assert vanishes(word, k) == vanishes_brute(word, k)
+
+
+_ALPHABET4 = [0, 1, E1, E2, E3, E4]
+# concatenations of members are members, so these reach long words
+# that vanish; one symbol changed makes near misses of them
+_members = st.lists(st.sampled_from(vanishing_words(4, 6)), max_size=6).map(
+    lambda ws: tuple(chain.from_iterable(ws)))
+
+
+@st.composite
+def _near_misses(draw):
+    w = list(draw(_members.filter(bool)))
+    w[draw(st.integers(0, len(w) - 1))] = draw(st.sampled_from(_ALPHABET4))
+    return tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_ALPHABET4), max_size=40).map(tuple),
+                 _members, _near_misses()))
+def test_vanishes_and_coded_agree_with_brute_pipeline(word):
+    for k in range(1, 5):
+        assert vanishes(word, k) == vanishes_brute(word, k)
+    assert vanishes_coded(encode(word)) == vanishes_brute(word, 4)
 
 
 # ----------------------------------------------------------- enumeration
@@ -107,7 +141,7 @@ def test_languages_grow_with_the_stage_count():
 
 
 def test_members_have_even_length():
-    assert all(len(w) % 2 == 0 for w in vanishing_words(2, 6))
+    assert all(len(w) % 2 == 0 for w in vanishing_words(4, 8))
 
 
 def test_one_stage_members_pair_erasers_with_letters():
