@@ -14,8 +14,9 @@ occur at stage j since earlier stages consumed them.
 Each job has one pass.  ``_pass_profile`` is the single-stage profile,
 over finite prefixes and periods alike; ``_pipeline`` runs every stage
 over a finite word and returns the survivors' positions (for
-evaluation and factor cuts); ``_vanishes_kinds`` runs them too but
-gives only the verdict "erased to nothing", tracking no positions.
+evaluation and factor cuts); ``_vanishing_top`` gives only the
+verdict "erased to nothing", through ``_pipeline`` when the word has
+several eraser indices and as a depth counter when it has one.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -34,7 +35,7 @@ top.  Comparing dig against the push length decides everything:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize
 
@@ -118,37 +119,26 @@ def _pipeline(kinds: list[int]) -> Optional[list[int]]:
     return list(alive)
 
 
-def _vanishes_kinds(kinds: list[int], stages: int) -> bool:
-    """Does the pipeline of stages 1..stages erase the word given by its
-    _kinds to nothing?  A word with an index above stages lies outside
-    the alphabet, so it is no member.
+def _vanishing_top(word: Sequence) -> Optional[int]:
+    """The top eraser index of a word that the pipeline erases to
+    nothing (0 for the empty word), None for any other word.
 
     A word of odd length never vanishes: each active eraser of a stage
     removes itself and one symbol before it, so every stage removes an
-    even number of symbols and the empty word has even length.  The
-    verdict needs no survivor positions: the stages below the top index
-    carry kind values, and the top stage keeps only its stack depth, as
-    no later stage reads what it leaves.
+    even number of symbols and the empty word has even length.  A word
+    with one eraser index runs one stage, and its verdict needs no
+    survivor positions, only the stack depth; a word with more runs
+    ``_pipeline``.
     """
-    if len(kinds) % 2:
-        return False
-    actives = sorted(set(kinds) - {0})
+    if len(word) % 2:
+        return None
+    kinds = _kinds(word)
+    actives = set(kinds) - {0}
     if not actives:
-        return not kinds
-    *lower, top = actives
-    if top > stages:
-        return False
-    for active in lower:
-        stack: list[int] = []
-        push, pop = stack.append, stack.pop
-        for k in kinds:
-            if k != active:
-                push(k)
-            elif stack:
-                pop()
-            else:
-                return False
-        kinds = stack
+        return None if kinds else 0
+    top = max(actives)
+    if len(actives) > 1:
+        return top if _pipeline(kinds) == [] else None
     depth = 0
     for k in kinds:
         if k != top:
@@ -156,8 +146,8 @@ def _vanishes_kinds(kinds: list[int], stages: int) -> bool:
         elif depth:
             depth -= 1
         else:
-            return False
-    return depth == 0
+            return None
+    return None if depth else top
 
 
 def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
-from .eraser import (_kinds, _pass_profile, _pipeline, _vanishes_kinds,
+from .eraser import (_kinds, _pass_profile, _pipeline, _vanishing_top,
                      staged_erase_up)
 from .coding import _OUT, _scan_step, decode, decode_up, encode
 from .staged import _vanishing_rows
@@ -44,9 +44,7 @@ def vanishes_coded(word: str) -> bool:
         res = decode(word)
     except MalformedInput:
         return False
-    # every index decoded from the text is below its length, so the
-    # length as stage count leaves out no word
-    return not res.dangling and _vanishes_kinds(_kinds(res.symbols), len(word))
+    return not res.dangling and _vanishing_top(res.symbols) is not None
 
 
 # ------------------------------------------------------------- factors

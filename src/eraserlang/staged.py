@@ -24,7 +24,7 @@ from itertools import chain, product
 from typing import Callable, Iterator, Optional
 
 from .words import Eraser, MalformedInput, StagedWord
-from .eraser import _kinds, _vanishes_kinds
+from .eraser import _vanishing_top
 
 
 def vanishes_by_grammar(word: StagedWord) -> bool:
@@ -67,7 +67,8 @@ def vanishes(word: StagedWord, stages: int) -> bool:
     """
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    return _vanishes_kinds(_kinds(word), stages)
+    top = _vanishing_top(word)
+    return top is not None and top <= stages
 
 
 def _vanishing_rows(top: int, cost: Callable, budget: int) -> list[dict]:
@@ -125,9 +126,8 @@ def min_stages(word: StagedWord) -> Optional[int]:
     Membership is monotone in the stage count and constant once every
     index in the word is covered, so only one pipeline run is needed.
     """
-    kinds = _kinds(word)
-    candidate = max(kinds, default=0) or 1
-    return candidate if _vanishes_kinds(kinds, candidate) else None
+    top = _vanishing_top(word)
+    return None if top is None else top or 1
 
 
 def words_over(stages: int, max_len: int) -> Iterator[StagedWord]:

@@ -33,8 +33,9 @@ def single_pass(word, active=1):
     """One eraser pass, the definition: push letters, pop on the active
     eraser, fail on an empty pop."""
     stack = []
+    eraser = Eraser(active)
     for sym in word:
-        if sym == Eraser(active):
+        if sym == eraser:
             if not stack:
                 return None
             stack.pop()

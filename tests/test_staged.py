@@ -31,14 +31,11 @@ def test_grammar_examples():
     assert vanishes_by_grammar(parse_staged("0 1 E1 E1"))
 
 
-def test_grammar_rejects_foreign_indices():
-    with pytest.raises(MalformedInput):
-        vanishes_by_grammar((0, E2))
-
-
-@pytest.mark.parametrize("word", [(E1, E2), (0, E1, E1, E3), (1, 0, E4)])
-def test_grammar_checks_indices_behind_a_failing_prefix(word):
-    # each prefix before the foreign index is already no member
+# the prefix before each foreign index but the first is already no
+# member: the index is checked all the same
+@pytest.mark.parametrize("word", [
+    (0, E2), (E1, E2), (0, E1, E1, E3), (1, 0, E4)])
+def test_grammar_rejects_foreign_indices(word):
     with pytest.raises(MalformedInput, match="outside the one-stage"):
         vanishes_by_grammar(word)
 
@@ -72,9 +69,10 @@ def test_empty_word_is_in_every_language():
 
 
 def test_vanishes_agrees_with_brute_pipeline():
-    # length 7 holds even words that use three stages and vanish
+    # lengths 6 and 7 hold words that use three stages, at the stage
+    # counts that cover them; the shorter words also meet the bound
     for word in words_over(3, 7):
-        for k in range(1, 5):
+        for k in range(1 if len(word) <= 5 else 3, 5):
             assert vanishes(word, k) == vanishes_brute(word, k)
 
 
