@@ -1,9 +1,14 @@
 """Coding between staged words and the four letter alphabet 0 1 a b.
 
 Letters map to themselves and Eraser(j) maps to the self delimiting code
-``a b^j a``.  Codes never nest and no code is a prefix of another, so a
-left to right scan decodes deterministically; a word may end in the
-middle of a code, which decode reports as the dangling part.
+``a b^j a``.  Codes never nest and no code is a prefix of another, so
+coded text splits into tokens, each a letter or a whole code, in one
+way.  One regex match reads the longest run of whole tokens and the
+open code ``a b*`` after it, if any.  The text decodes when that match
+reaches its end, the open code being the dangling part; otherwise the
+character after the match is where the text goes wrong.  Only this
+module parses coded text; the coded queries take tokens and kinds from
+it and build no symbols.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -15,12 +20,16 @@ decodes and no eraser index exceeds p.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
                     up_normalize, up_prefix)
 
 _OUT = -1  # scanner state: outside any code; n >= 0 means inside with n betas
+_TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
+# the longest run of whole tokens, then the open code after it
+_SCAN = re.compile(f"(?:{_TOKEN.pattern})*(ab*)?")
 
 
 def encode(word: StagedWord) -> str:
@@ -43,35 +52,38 @@ class DecodeResult(NamedTuple):
     dangling: str
 
 
+def _tokenize(text: str) -> tuple[list[str], str]:
+    """The tokens of a coded word, each a letter or a whole code, and
+    its dangling part; raises MalformedInput as decode does."""
+    scan = _SCAN.match(text)
+    end = scan.end()
+    if end < len(text):
+        ch = text[end]
+        if scan.group(1) or ch == BETA:
+            raise MalformedInput(f"malformed code at position {end + 1}",
+                                 end + 1)
+        raise MalformedInput(
+            f"unexpected character {ch!r} at position {end + 1}", end + 1)
+    dangling = scan.group(1) or ""
+    return _TOKEN.findall(text, 0, end - len(dangling)), dangling
+
+
+def _token_kinds(tokens: list[str]) -> list[int]:
+    """The eraser index of each token, 0 for a letter."""
+    return [len(t) - 2 if len(t) > 1 else 0 for t in tokens]
+
+
 def decode(text: str) -> DecodeResult:
-    """Scan a coded word; raises MalformedInput on text that no extension
-    could complete to a code sequence (stray b, empty code, letter inside
-    a code)."""
-    symbols = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "0" or ch == "1":
-            symbols.append(int(ch))
-            i += 1
-        elif ch == ALPHA:
-            j = i + 1
-            while j < n and text[j] == BETA:
-                j += 1
-            if j == n:
-                return DecodeResult(tuple(symbols), text[i:])
-            if text[j] != ALPHA or j == i + 1:
-                raise MalformedInput(f"malformed code at position {j + 1}",
-                                     j + 1)
-            symbols.append(Eraser(j - i - 1))
-            i = j + 1
-        elif ch == BETA:
-            raise MalformedInput(f"malformed code at position {i + 1}", i + 1)
-        else:
-            raise MalformedInput(
-                f"unexpected character {ch!r} at position {i + 1}", i + 1)
-    return DecodeResult(tuple(symbols), "")
+    """Decode coded text; a code left open at its end is the dangling part.
+
+    Raises MalformedInput, with a 1-based position, on text that no
+    extension could complete: a malformed code (a stray b, an empty code,
+    or a code broken by another character, at that character) or an
+    unexpected character.
+    """
+    tokens, dangling = _tokenize(text)
+    return DecodeResult(tuple([int(t) if len(t) == 1 else Eraser(len(t) - 2)
+                               for t in tokens]), dangling)
 
 
 def encode_up(x: UPWord) -> UPWord:

@@ -11,10 +11,11 @@ j the active eraser is Eraser(j); letters and erasers of larger index
 are ordinary erasable material for it.  Erasers of smaller index cannot
 occur at stage j since earlier stages consumed them.
 
-Each job has one pass.  ``_pass_profile`` is the single-stage profile,
-over finite prefixes and periods alike; ``_pipeline`` runs every stage
-over a finite word and returns the survivors' positions (for
-evaluation and factor cuts); ``_vanishing_top`` gives only the
+Each job has one pass.  ``_pass_profile`` is the single-stage profile
+of an ultimately periodic word, over its prefix and period alike;
+``_pipeline`` runs every stage over a finite word, given by its kinds,
+and returns the survivors' positions (for evaluation, factor cuts and
+viable prefixes); ``_vanishing_top`` gives only the
 verdict "erased to nothing", through ``_pipeline`` when the word has
 several eraser indices and as a depth counter when it has one.
 ``certificate_holds`` keeps a literal replay of its own, so that the
@@ -98,8 +99,9 @@ def _kinds(word: Iterable) -> list[int]:
 
 
 def _pipeline(kinds: list[int]) -> Optional[list[int]]:
-    """Run every stage over a word given by its _kinds: the positions of
-    the symbols that survive, in order, or None when an eraser starves.
+    """Run every stage over a word given by its kinds (see _kinds): the
+    positions of the symbols that survive, in order, or None when an
+    eraser starves.
 
     Only the stages whose eraser occurs in the word run: every other
     stage has no active eraser and passes its word through unchanged.

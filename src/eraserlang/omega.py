@@ -30,9 +30,9 @@ from typing import Iterator, NamedTuple, Optional
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
-from .eraser import (_kinds, _pass_profile, _pipeline, _vanishing_top,
-                     staged_erase_up)
-from .coding import _OUT, _scan_step, decode, decode_up, encode
+from .eraser import _pipeline, _vanishing_top, staged_erase_up
+from .coding import (_OUT, _scan_step, _token_kinds, _tokenize, decode,
+                     decode_up, encode)
 from .staged import _vanishing_rows
 
 
@@ -80,18 +80,18 @@ def factorize(word: str) -> Factorization:
     if word[-1] != "1":  # so the word cannot end inside a code
         return _NO_PARSE
     try:
-        res = decode(word)
+        tokens = _tokenize(word)[0]
     except MalformedInput:
         return _NO_PARSE
-    kinds = _kinds(res.symbols)
+    kinds = _token_kinds(tokens)
     alive = _pipeline(kinds)
     # no starved eraser, only letters survive, and the last one does
     if (alive is None or any(kinds[i] for i in alive)
             or alive[-1:] != [len(kinds) - 1]):
         return _NO_PARSE
-    ends = list(accumulate(k + 2 if k else 1 for k in kinds))
+    ends = list(accumulate(map(len, tokens)))
     return Factorization(1, (0,) + tuple(ends[i] for i in alive
-                                         if res.symbols[i] == 1))
+                                         if tokens[i] == "1"))
 
 
 def is_factor(word: str) -> bool:
@@ -113,10 +113,11 @@ def viable_prefix(word: str) -> bool:
     later stage runs: the word becomes a pad, and a 1 closes the factor.
     """
     try:
-        res = decode(word)
+        tokens = _tokenize(word)[0]
     except MalformedInput:
         return False
-    return _pass_profile(res.symbols, 1)[0] == 0
+    # stage one alone: its eraser against everything else as content
+    return _pipeline([k == 1 for k in _token_kinds(tokens)]) is not None
 
 
 # ----------------------------------------------------------- omega words

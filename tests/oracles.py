@@ -8,7 +8,8 @@ compares the two sides points at a real defect when it fails.
 
 from itertools import product
 
-from eraserlang import Eraser, UPWord, factorize, is_factor, nth_factor
+from eraserlang import (Eraser, MalformedInput, UPWord, factorize, is_factor,
+                        nth_factor)
 
 
 def take(x: UPWord, n: int):
@@ -65,6 +66,40 @@ def min_stages_brute(word, kmax=6):
         if vanishes_brute(word, k):
             return k
     return None
+
+
+def decode_by_hand(text):
+    """decode as a character loop: (symbols, dangling), or MalformedInput
+    with decode's message and position.
+
+    Outside a code a letter is a symbol and an a opens a code; the code
+    runs over b's up to the next a.  Text ending on an open code dangles.
+    """
+    symbols = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "0" or ch == "1":
+            symbols.append(int(ch))
+            i += 1
+        elif ch == "a":
+            j = i + 1
+            while j < n and text[j] == "b":
+                j += 1
+            if j == n:
+                return tuple(symbols), text[i:]
+            if text[j] != "a" or j == i + 1:
+                raise MalformedInput(f"malformed code at position {j + 1}",
+                                     j + 1)
+            symbols.append(Eraser(j - i - 1))
+            i = j + 1
+        elif ch == "b":
+            raise MalformedInput(f"malformed code at position {i + 1}", i + 1)
+        else:
+            raise MalformedInput(
+                f"unexpected character {ch!r} at position {i + 1}", i + 1)
+    return tuple(symbols), ""
 
 
 def staged_words(max_len, top_index):

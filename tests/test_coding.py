@@ -20,6 +20,8 @@ from eraserlang import (
     up_normalize,
 )
 
+from oracles import decode_by_hand
+
 E1, E2, E3 = Eraser(1), Eraser(2), Eraser(3)
 
 staged_words = st.lists(
@@ -101,17 +103,23 @@ def literal_decode(text):
     return tuple(symbols), ""
 
 
+def _outcome(decoder, text):
+    """(symbols, dangling), or (message, position) when decoder raises."""
+    try:
+        return tuple(decoder(text))
+    except MalformedInput as exc:
+        return str(exc), exc.position
+
+
 def test_decode_matches_the_literal_decoder():
-    for n in range(7):
+    for n in range(8):
         for letters in product("01abx", repeat=n):
             text = "".join(letters)
             want = literal_decode(text)
-            try:
-                got = tuple(decode(text))
-            except MalformedInput as exc:
-                got = (str(exc), exc.position)
+            if isinstance(want[1], int):  # rejected
                 want = (f"{want[0]} at position {want[1]}", want[1])
-            assert got == want, text
+            got = _outcome(decode, text)
+            assert got == want == _outcome(decode_by_hand, text), text
 
 
 def test_encoding_is_injective_at_desk_scale():

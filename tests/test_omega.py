@@ -190,6 +190,17 @@ def test_misaligned_period_is_rejected():
     assert lasso_member(UPWord("0ab", "a01"), 6).status == "no"
 
 
+def test_coded_queries_build_no_erasers(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError(f"built Eraser({index})")
+
+    monkeypatch.setattr(Eraser, "__init__", refuse)
+    assert factorize("0aba10abba1").cuts == (0, 5, 11)
+    assert is_factor("0abba1") and not is_factor("0abba")
+    assert viable_prefix("0abb") and not viable_prefix("aba0")
+    assert lasso_member(UPWord("0aba", "01"), 6).status == "yes"
+
+
 # ------------------------------------------------------------ enumeration
 
 def test_factor_enumeration_is_frozen_at_the_start():

@@ -19,6 +19,8 @@ from pathlib import Path
 import eraserlang
 from eraserlang import (
     Eraser,
+    MalformedInput,
+    decode,
     factorize,
     is_factor,
     staged_erase,
@@ -57,6 +59,41 @@ def test_vanishes_decides_a_long_nested_member_at_once():
     assert not vanishes(member[:-1] + (0, E3), 3)
     # even, so every stage runs, and stage 3 is left with two letters
     assert not vanishes(member[:-1] + (0,), 3)
+
+
+def _timed(query, text):
+    """query(text), or MalformedInput's (message, position), and the
+    seconds it took."""
+    t0 = time.perf_counter()
+    try:
+        out = query(text)
+    except MalformedInput as exc:
+        out = (str(exc), exc.position)
+    return out, time.perf_counter() - t0
+
+
+def test_coded_queries_read_a_million_letters_at_once():
+    n = 10 ** 6
+    # 100,000 short factors, then one whose pad nests 125,000 deep
+    stream = "0aba1" * 100_000 + "0" * 125_000 + "aba" * 125_000 + "1"
+    cuts = (0,) + tuple(range(5, 500_001, 5)) + (len(stream),)
+    dangling, broken = "a" + "b" * n, "a" + "b" * n + "0"
+    foreign = "0" * n + "x"
+    want = {
+        stream: (((0, E1, 1) * 100_000 + (0,) * 125_000 + (E1,) * 125_000
+                  + (1,), ""), (1, cuts), True),
+        dangling: (((), dangling), (0, None), True),
+        broken: ((f"malformed code at position {n + 2}", n + 2),
+                 (0, None), False),
+        foreign: ((f"unexpected character 'x' at position {n + 1}", n + 1),
+                  (0, None), False),
+    }
+    for text, (decoded, factors, viable) in want.items():
+        for query, expected in ((decode, decoded), (factorize, factors),
+                                (viable_prefix, viable)):
+            out, elapsed = _timed(query, text)
+            assert out == expected, (query.__name__, text[:20])
+            assert elapsed < 2, (query.__name__, text[:20], elapsed)
 
 
 def test_stages_without_erasers_cost_nothing():
