@@ -56,15 +56,14 @@ def _tokenize(text: str) -> tuple[list[str], str]:
     """The tokens of a coded word, each a letter or a whole code, and
     its dangling part; raises MalformedInput as decode does."""
     scan = _SCAN.match(text)
-    end = scan.end()
+    end, dangling = scan.end(), scan.group(1) or ""
     if end < len(text):
         ch = text[end]
-        if scan.group(1) or ch == BETA:
+        if dangling or ch == BETA:
             raise MalformedInput(f"malformed code at position {end + 1}",
                                  end + 1)
         raise MalformedInput(
             f"unexpected character {ch!r} at position {end + 1}", end + 1)
-    dangling = scan.group(1) or ""
     return _TOKEN.findall(text, 0, end - len(dangling)), dangling
 
 
