@@ -6,9 +6,12 @@ coded text splits into tokens, each a letter or a whole code, in one
 way.  One regex match reads the longest run of whole tokens and the
 open code ``a b*`` after it, if any.  The text decodes when that match
 reaches its end, the open code being the dangling part; otherwise the
-character after the match is where the text goes wrong.  Only this
-module parses coded text; the coded queries take tokens and kinds from
-it and build no symbols.
+tokenizer answers None, and the character after the match is where the
+text goes wrong.  Only ``decode`` turns that into a MalformedInput, so
+a coded query that merely rejects (``factorize``, ``viable_prefix``,
+``vanishes_coded``) builds and raises nothing.  Only this module parses
+coded text; the coded queries take tokens and kinds from it and build
+no symbols, except ``vanishes_coded``, which needs the symbols anyway.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -52,24 +55,30 @@ class DecodeResult(NamedTuple):
     dangling: str
 
 
-def _tokenize(text: str) -> tuple[list[str], str]:
+def _tokenize(text: str) -> tuple[list[str], str] | None:
     """The tokens of a coded word, each a letter or a whole code, and
-    its dangling part; raises MalformedInput as decode does."""
+    its dangling part; None when the text does not decode.
+
+    Rejecting builds no exception: only ``decode`` reads the position
+    and the message of the failure, off the end of a ``_SCAN`` match.
+    """
     scan = _SCAN.match(text)
-    end, dangling = scan.end(), scan.group(1) or ""
+    end = scan.end()
     if end < len(text):
-        ch = text[end]
-        if dangling or ch == BETA:
-            raise MalformedInput(f"malformed code at position {end + 1}",
-                                 end + 1)
-        raise MalformedInput(
-            f"unexpected character {ch!r} at position {end + 1}", end + 1)
+        return None
+    dangling = scan.group(1) or ""
     return _TOKEN.findall(text, 0, end - len(dangling)), dangling
 
 
 def _token_kinds(tokens: list[str]) -> list[int]:
     """The eraser index of each token, 0 for a letter."""
     return [len(t) - 2 if len(t) > 1 else 0 for t in tokens]
+
+
+def _token_symbols(tokens: list[str]) -> StagedWord:
+    """The staged symbol of each token."""
+    return tuple([int(t) if len(t) == 1 else Eraser(len(t) - 2)
+                  for t in tokens])
 
 
 def decode(text: str) -> DecodeResult:
@@ -80,9 +89,17 @@ def decode(text: str) -> DecodeResult:
     or a code broken by another character, at that character) or an
     unexpected character.
     """
-    tokens, dangling = _tokenize(text)
-    return DecodeResult(tuple([int(t) if len(t) == 1 else Eraser(len(t) - 2)
-                               for t in tokens]), dangling)
+    scan = _tokenize(text)
+    if scan is None:
+        # the text goes wrong just after the longest decodable run
+        bad = _SCAN.match(text)
+        pos = bad.end() + 1
+        if bad.group(1) or text[pos - 1] == BETA:
+            raise MalformedInput(f"malformed code at position {pos}", pos)
+        raise MalformedInput(
+            f"unexpected character {text[pos - 1]!r} at position {pos}", pos)
+    tokens, dangling = scan
+    return DecodeResult(_token_symbols(tokens), dangling)
 
 
 def encode_up(x: UPWord) -> UPWord:

@@ -15,9 +15,11 @@ Each job has one pass.  ``_pass_profile`` is the single-stage profile
 of an ultimately periodic word, over its prefix and period alike;
 ``_pipeline`` runs every stage over a finite word, given by its kinds,
 and returns the survivors' positions (for evaluation, factor cuts and
-viable prefixes); ``_vanishing_top`` gives only the
-verdict "erased to nothing", through ``_pipeline`` when the word has
-several eraser indices and as a depth counter when it has one.
+viable prefixes); ``_vanishing_top`` gives only the verdict "erased to
+nothing" in one pass over the symbols: it counts stack depth while the
+word shows one eraser index, only records a starved eraser (a smaller
+index further on would run first and might pop it), and hands the word
+to ``_pipeline`` as soon as a second index appears.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -127,29 +129,34 @@ def _vanishing_top(word: Sequence) -> Optional[int]:
 
     A word of odd length never vanishes: each active eraser of a stage
     removes itself and one symbol before it, so every stage removes an
-    even number of symbols and the empty word has even length.  A word
-    with one eraser index runs one stage, and its verdict needs no
-    survivor positions, only the stack depth; a word with more runs
-    ``_pipeline``.
+    even number of symbols and the empty word has even length.
+
+    Otherwise one pass over the symbols counts the stack depth against
+    the first eraser index it meets, which is the only stage a word with
+    one index runs; the verdict needs no survivor positions.  A starved
+    eraser does not end the pass: a smaller index further on runs its
+    stage first and may pop the eraser that starved, as in
+    ``0 E2 E2 E1``, so starvation is only recorded.  As soon as a second
+    index appears, the stages interact and ``_pipeline`` takes the word.
     """
     if len(word) % 2:
         return None
-    kinds = _kinds(word)
-    actives = set(kinds) - {0}
-    if not actives:
-        return None if kinds else 0
-    top = max(actives)
-    if len(actives) > 1:
-        return top if _pipeline(kinds) == [] else None
-    depth = 0
-    for k in kinds:
-        if k != top:
+    top = depth = 0
+    starved = False
+    for sym in word:
+        if not isinstance(sym, Eraser):
             depth += 1
-        elif depth:
+            continue
+        if sym.index != top:
+            if top:  # a second index
+                kinds = _kinds(word)
+                return max(kinds) if _pipeline(kinds) == [] else None
+            top = sym.index
+        if depth:
             depth -= 1
         else:
-            return None
-    return None if depth else top
+            starved = True
+    return None if starved or depth else top
 
 
 def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:

@@ -31,8 +31,8 @@ from typing import Iterator, NamedTuple, Optional
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
 from .eraser import _pipeline, _vanishing_top, staged_erase_up
-from .coding import (_OUT, _scan_step, _token_kinds, _tokenize, decode,
-                     decode_up, encode)
+from .coding import (_OUT, _scan_step, _token_kinds, _token_symbols,
+                     _tokenize, decode_up, encode)
 from .staged import _vanishing_rows
 
 
@@ -40,11 +40,10 @@ from .staged import _vanishing_rows
 
 def vanishes_coded(word: str) -> bool:
     """Does the word decode to a staged word that erases to nothing?"""
-    try:
-        res = decode(word)
-    except MalformedInput:
+    scan = _tokenize(word)
+    if scan is None or scan[1]:  # malformed, or a code left open
         return False
-    return not res.dangling and _vanishing_top(res.symbols) is not None
+    return _vanishing_top(_token_symbols(scan[0])) is not None
 
 
 # ------------------------------------------------------------- factors
@@ -79,10 +78,10 @@ def factorize(word: str) -> Factorization:
         return Factorization(1, (0,))
     if word[-1] != "1":  # so the word cannot end inside a code
         return _NO_PARSE
-    try:
-        tokens = _tokenize(word)[0]
-    except MalformedInput:
+    scan = _tokenize(word)
+    if scan is None:
         return _NO_PARSE
+    tokens = scan[0]
     kinds = _token_kinds(tokens)
     alive = _pipeline(kinds)
     # no starved eraser, only letters survive, and the last one does
@@ -112,12 +111,11 @@ def viable_prefix(word: str) -> bool:
     index-1 eraser per stage-one survivor empties stage one before any
     later stage runs: the word becomes a pad, and a 1 closes the factor.
     """
-    try:
-        tokens = _tokenize(word)[0]
-    except MalformedInput:
+    scan = _tokenize(word)
+    if scan is None:
         return False
     # stage one alone: its eraser against everything else as content
-    return _pipeline([k == 1 for k in _token_kinds(tokens)]) is not None
+    return _pipeline([k == 1 for k in _token_kinds(scan[0])]) is not None
 
 
 # ----------------------------------------------------------- omega words

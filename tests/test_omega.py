@@ -201,6 +201,21 @@ def test_coded_queries_build_no_erasers(monkeypatch):
     assert lasso_member(UPWord("0aba", "01"), 6).status == "yes"
 
 
+def test_coded_rejects_build_no_exceptions(monkeypatch):
+    def refuse(self, message, position=None):
+        raise AssertionError(f"built MalformedInput({message!r})")
+
+    monkeypatch.setattr(MalformedInput, "__init__", refuse)
+    # a stray b, codes broken by a letter, an empty code, an unexpected
+    # character
+    for word in ["b1", "ab01", "aa1", "0abb0", "0x1"]:
+        assert factorize(word).count == 0
+        assert not is_factor(word)
+        assert not viable_prefix(word)
+        assert not vanishes_coded(word)
+        assert lasso_member(UPWord(word, "01"), 3).status == "no"
+
+
 # ------------------------------------------------------------ enumeration
 
 def test_factor_enumeration_is_frozen_at_the_start():

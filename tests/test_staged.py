@@ -155,6 +155,18 @@ def test_higher_stages_allow_eraser_heavy_members():
     assert len(w) != 2 * erasers
 
 
+def test_a_late_second_index_rescues_a_starved_eraser():
+    # the second E2 starves against E2 alone, but stage 1 pops it first
+    w = (0, E2, E2, E1)
+    assert vanishes(w, 2) and not vanishes(w, 1)
+    assert min_stages(w) == 2
+    assert not vanishes((E2, E2, E1), 3)
+    # with one index the starved eraser is final, letters after it or not
+    for w in [(E1, 0), (0, E1, E1, 0)]:
+        assert not vanishes(w, 1)
+        assert min_stages(w) is None
+
+
 # ---------------------------------------------------------- least stages
 
 def test_min_stages_examples():
