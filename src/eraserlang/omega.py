@@ -39,9 +39,14 @@ from .staged import _vanishing_rows
 # ---------------------------------------------------------------- pads
 
 def vanishes_coded(word: str) -> bool:
-    """Does the word decode to a staged word that erases to nothing?"""
+    """Does the word decode to a staged word that erases to nothing?
+
+    Every stage removes an even number of symbols, so an odd token count
+    is refused before any symbol is built.
+    """
     scan = _tokenize(word)
-    if scan is None or scan[1]:  # malformed, or a code left open
+    # malformed, a code left open, or odd
+    if scan is None or scan[1] or len(scan[0]) % 2:
         return False
     return _vanishing_top(_token_symbols(scan[0])) is not None
 
@@ -193,6 +198,16 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 
 # ------------------------------------------------- intersection identity
 
+#
+# The two sides share no code, so each checks the other.  Each walk is
+# a search over a prefix-closed set in which a word's continuations
+# depend on a small key alone, never on its letters: the key decides
+# which extensions are kept and what key each of them carries.  So the
+# walks go length by length over classes of words with equal keys, ask
+# once per class and extension, and extend the whole class at once.
+# Every word still arises once, from its one parent and last letter or
+# token.
+
 def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
     """Every viable prefix of an order-p block stream, up to length n.
 
@@ -202,54 +217,70 @@ def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
     index-1 eraser may meet depth 0.  Under p = 1 a dangling code can
     only complete to an index-1 eraser, so it needs depth 1 or more.
     Viability is prefix closed, so a word that fails it ends its branch.
+
+    The scanner state and the depth decide every child, and its own
+    state and depth, so the words of one length are grouped by the pair
+    and each class takes one scanner step per letter.
     """
-    stack = [("", _OUT, 0)]
-    while stack:
-        w, state, depth = stack.pop()
-        yield w
-        if len(w) == n:
-            continue
-        for ch in "01ab":
-            nxt = _scan_step(state, ch, p)
-            if nxt is None:
-                continue
-            if nxt != _OUT:  # inside a code
-                if p == 1 and depth == 0:
+    level = {(_OUT, 0): [""]}
+    for length in range(n + 1):
+        for words in level.values():
+            yield from words
+        if length == n:
+            return
+        children: dict[tuple[int, int], list[str]] = {}
+        for (state, depth), words in level.items():
+            for ch in "01ab":
+                nxt = _scan_step(state, ch, p)
+                if nxt is None:
                     continue
-                stack.append((w + ch, nxt, depth))
-            elif state != 1:  # a letter or an index >= 2 eraser
-                stack.append((w + ch, nxt, depth + 1))
-            elif depth:  # an index-1 eraser
-                stack.append((w + ch, nxt, depth - 1))
+                if nxt != _OUT:  # inside a code
+                    if p == 1 and depth == 0:
+                        continue
+                    key = (nxt, depth)
+                elif state != 1:  # a letter or an index >= 2 eraser
+                    key = (nxt, depth + 1)
+                elif depth:  # an index-1 eraser
+                    key = (nxt, depth - 1)
+                else:
+                    continue
+                children.setdefault(key, []).extend([w + ch for w in words])
+        level = children
 
 
 def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
     """Every prefix of length up to n of the encoding of a staged viable
     prefix over indices up to p, each once.
 
-    Each node carries its encoding and its stage-one depth.  A staged
-    word coded longer than n adds no prefix of length up to n but a stop
-    inside its last code, and its parent yields that stop.
+    A staged viable prefix extends by a letter or by any eraser but an
+    index-1 one at depth 0, so the coded length and the stage-one depth
+    decide its children, and theirs; the walk groups the encodings by
+    the pair and lists the classes in length order, each token placing
+    its children len(token) letters further on.  A staged word coded
+    longer than n adds no prefix of length up to n but a stop inside its
+    last code, and its parent's class yields that stop.
     """
     codes = [encode((Eraser(j),)) for j in range(1, min(p, n) + 1)]
     # the proper nonempty prefixes of the longest code hold every stop
     stops = [codes[-1][:i] for i in range(1, len(codes[-1]))] if codes else []
-    stack = [("", 0)]
-    while stack:
-        enc, depth = stack.pop()
-        yield enc
-        room = n - len(enc)
-        if not room:
-            continue
-        if depth or p >= 2:  # some eraser may follow
-            yield from (enc + stop for stop in stops[:room])
-        stack.append((enc + "0", depth + 1))
-        stack.append((enc + "1", depth + 1))
-        if room >= 3:  # the code of Eraser(j) is j + 2 long
-            if depth:
-                stack.append((enc + codes[0], depth - 1))
-            for code in codes[1:room - 2]:
-                stack.append((enc + code, depth + 1))
+    # each token with its change of depth: only an index-1 eraser pops
+    tokens = [("0", 1), ("1", 1)] + [(code, 1 if j > 1 else -1)
+                                     for j, code in enumerate(codes, 1)]
+    levels: list[dict[int, list[str]]] = [{} for _ in range(n + 1)]
+    levels[0][0] = [""]
+    for length, classes in enumerate(levels):
+        room = n - length
+        for depth, encs in classes.items():
+            yield from encs
+            if not room:
+                continue
+            if depth or p >= 2:  # some eraser may follow
+                for stop in stops[:room]:
+                    yield from [enc + stop for enc in encs]
+            for token, step in tokens:
+                if len(token) <= room and depth + step >= 0:
+                    levels[length + len(token)].setdefault(
+                        depth + step, []).extend([enc + token for enc in encs])
 
 
 def verify_intersection_identity(p: int, n: int,

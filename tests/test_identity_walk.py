@@ -1,21 +1,28 @@
-"""The staged side of the intersection identity, against its definition.
+"""Both sides of the intersection identity, against their definitions.
 
-The definition: every prefix of length up to n of encode(s), over the
+The staged side: every prefix of length up to n of encode(s), over the
 staged words s with indices up to p on which stage one never starves.
 It is built here from oracles.staged_words, oracles.single_pass and an
 encoder of this file's own, with no budget and no pruning; the walk in
 the omega module stops at length n and yields the mid-code stops from
-the parent of the code they cut.
+the class of the parent of the code they cut.
+
+The intersection side: every coded word up to length n that
+oracles.decode_by_hand decodes, with no index above p, whose dangling
+code completes to some index-j eraser, j <= p, that stage one does not
+starve on.
 """
 
 import time
+from itertools import product
 
 import pytest
 
-from eraserlang import Eraser, verify_intersection_identity
-from eraserlang.omega import _encoded_staged_prefixes
+from eraserlang import (Eraser, MalformedInput, omega,
+                        verify_intersection_identity)
+from eraserlang.omega import _encoded_staged_prefixes, _viable_rp_prefixes
 
-from oracles import single_pass, staged_words
+from oracles import decode_by_hand, single_pass, staged_words
 
 
 def literal_encode(word):
@@ -42,6 +49,57 @@ def test_staged_side_is_the_literal_image(p, max_n):
         walked = list(_encoded_staged_prefixes(p, n))
         assert len(walked) == len(set(walked)), (p, n)
         assert set(walked) == {w for w in image if len(w) <= n}, (p, n)
+
+
+def literal_intersection(p, max_n):
+    """Each coded word up to max_n letters that decodes, uses no index
+    above p and has a completion that stage one does not starve on: its
+    own symbols, or those plus the eraser its dangling code a b^i can
+    still become, a b^j a with max(1, i) <= j <= p."""
+    words = set()
+    for n in range(max_n + 1):
+        for letters in product("01ab", repeat=n):
+            word = "".join(letters)
+            try:
+                symbols, dangling = decode_by_hand(word)
+            except MalformedInput:
+                continue
+            if any(isinstance(s, Eraser) and s.index > p for s in symbols):
+                continue
+            completions = ([symbols + (Eraser(j),)
+                            for j in range(max(1, len(dangling) - 1), p + 1)]
+                           if dangling else [symbols])
+            if any(single_pass(c, 1) is not None for c in completions):
+                words.add(word)
+    return words
+
+
+@pytest.mark.parametrize("p, max_n", [(1, 7), (2, 7), (3, 6)])
+def test_intersection_side_is_the_literal_set(p, max_n):
+    literal = literal_intersection(p, max_n)
+    for n in range(max_n + 1):
+        walked = list(_viable_rp_prefixes(p, n))
+        assert len(walked) == len(set(walked)), (p, n)
+        assert set(walked) == {w for w in literal if len(w) <= n}, (p, n)
+
+
+@pytest.mark.parametrize("p, n, size", [(1, 10, 6245), (2, 9, 3583),
+                                        (3, 12, 47380), (2, 13, 96204)])
+def test_walk_sizes_are_pinned(p, n, size):
+    for walk in (_viable_rp_prefixes, _encoded_staged_prefixes):
+        walked = list(walk(p, n))
+        assert len(walked) == len(set(walked)) == size, (walk, p, n)
+
+
+def test_a_missing_word_fails_the_check(monkeypatch, tmp_path):
+    walk = _viable_rp_prefixes
+    monkeypatch.setattr(omega, "_viable_rp_prefixes",
+                        lambda p, n: (w for w in walk(p, n) if w != "0aba"))
+    report = tmp_path / "report.txt"
+    assert not verify_intersection_identity(1, 4, report_path=str(report))
+    lines = report.read_text().splitlines()
+    assert lines[1] == "result: FAIL"
+    assert "only in encoded staged side: 0aba" in lines
 
 
 def test_staged_side_ignores_indices_that_cannot_fit():

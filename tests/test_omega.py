@@ -190,15 +190,23 @@ def test_misaligned_period_is_rejected():
     assert lasso_member(UPWord("0ab", "a01"), 6).status == "no"
 
 
-def test_coded_queries_build_no_erasers(monkeypatch):
-    def refuse(self, index):
-        raise AssertionError(f"built Eraser({index})")
+def refuse_eraser(self, index):
+    raise AssertionError(f"built Eraser({index})")
 
-    monkeypatch.setattr(Eraser, "__init__", refuse)
+
+def test_coded_queries_build_no_erasers(monkeypatch):
+    monkeypatch.setattr(Eraser, "__init__", refuse_eraser)
     assert factorize("0aba10abba1").cuts == (0, 5, 11)
     assert is_factor("0abba1") and not is_factor("0abba")
     assert viable_prefix("0abb") and not viable_prefix("aba0")
     assert lasso_member(UPWord("0aba", "01"), 6).status == "yes"
+
+
+def test_odd_coded_words_vanish_by_parity_alone(monkeypatch):
+    monkeypatch.setattr(Eraser, "__init__", refuse_eraser)
+    # 1, 3 and 100,001 tokens
+    for word in ["aba", "00aba", "0" + "aba" * 10 ** 5]:
+        assert not vanishes_coded(word)
 
 
 def test_coded_rejects_build_no_exceptions(monkeypatch):
