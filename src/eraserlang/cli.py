@@ -12,13 +12,17 @@ arguments and the ``_run_*`` function that answers it.  ``member`` and
 the same shape.  A call builds the argparse parser of the command it
 names only (and of that set only, under ``member``/``enumerate``); a
 command line that names none, such as ``--help``, gets every command.
+
+A call also imports only the module of its command: this module takes
+nothing but ``words`` from the package at import, and each ``_run_*``
+imports its own function when it runs, so ``erase`` never loads
+``staged``, ``coding`` or ``omega``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from .words import (
     MalformedInput,
@@ -28,23 +32,6 @@ from .words import (
     parse_coded,
     parse_staged,
     parse_up,
-)
-from .eraser import EvalOutcome, erase, erase_up, staged_erase, staged_erase_up
-from .staged import min_stages, vanishes, vanishes_by_grammar, vanishing_words
-from .coding import decode, encode, encode_up, in_block_stream
-from .omega import (
-    factor_words,
-    factorize,
-    has_infinitely_many_ones,
-    in_coded_erasure_ladder,
-    in_erasure_ladder,
-    is_factor,
-    lasso_member,
-    nth_factor,
-    pairing_consistent,
-    vanishes_coded,
-    verify_intersection_identity,
-    viable_prefix,
 )
 
 
@@ -67,7 +54,8 @@ def _bool_line(value: bool) -> int:
     return 0
 
 
-def _outcome_line(out: EvalOutcome) -> int:
+def _outcome_line(out) -> int:
+    """Print an EvalOutcome on one line."""
     if out.is_undefined:
         print("undefined")
     elif out.is_finite:
@@ -78,12 +66,14 @@ def _outcome_line(out: EvalOutcome) -> int:
 
 
 def _run_erase(args) -> int:
+    from .eraser import erase, erase_up
     if args.up:
         return _outcome_line(erase_up(parse_up(args.word, kind="staged")))
     return _outcome_line(erase(parse_staged(args.word)))
 
 
 def _run_staged_erase(args) -> int:
+    from .eraser import staged_erase, staged_erase_up
     if args.up:
         out = staged_erase_up(parse_up(args.word, kind="staged"), args.k)
     else:
@@ -92,58 +82,70 @@ def _run_staged_erase(args) -> int:
 
 
 def _run_member_l1_grammar(args) -> int:
+    from .staged import vanishes_by_grammar
     return _bool_line(vanishes_by_grammar(parse_staged(args.word)))
 
 
 def _run_member_lk(args) -> int:
+    from .staged import vanishes
     return _bool_line(vanishes(parse_staged(args.word), args.k))
 
 
 def _run_member_lscript(args) -> int:
+    from .omega import vanishes_coded
     return _bool_line(vanishes_coded(parse_coded(args.word)))
 
 
 def _run_member_hv(args) -> int:
+    from .omega import is_factor
     return _bool_line(is_factor(parse_coded(args.word)))
 
 
 def _run_member_rp(args) -> int:
+    from .coding import in_block_stream
     return _bool_line(in_block_stream(parse_up(args.word), args.p))
 
 
 def _run_member_r(args) -> int:
+    from .omega import has_infinitely_many_ones
     return _bool_line(
         has_infinitely_many_ones(parse_up(args.word, kind="binary")))
 
 
 def _run_member_r_approx(args) -> int:
+    from .omega import in_erasure_ladder
     return _bool_line(
         in_erasure_ladder(parse_up(args.word, kind="staged"), args.p))
 
 
 def _run_member_encoded_r_approx(args) -> int:
+    from .omega import in_coded_erasure_ladder
     return _bool_line(in_coded_erasure_ladder(parse_up(args.word), args.p))
 
 
 def _run_enumerate_lk(args) -> int:
+    from .staged import vanishing_words
     for word in vanishing_words(args.k, args.max_len):
         print(format_staged(word))
     return 0
 
 
 def _run_enumerate_hv(args) -> int:
+    from .omega import factor_words
     for word in factor_words(args.max_len):
         print(word)
     return 0
 
 
 def _run_min_k(args) -> int:
+    from .staged import min_stages
     k = min_stages(parse_staged(args.word))
     print("none" if k is None else k)
     return 0
 
 
 def _run_encode(args) -> int:
+    from .coding import encode, encode_up
     if args.up:
         print(format_up(encode_up(parse_up(args.word, kind="staged"))))
     else:
@@ -152,6 +154,7 @@ def _run_encode(args) -> int:
 
 
 def _run_decode(args) -> int:
+    from .coding import decode
     res = decode(parse_coded(args.word))
     print(format_staged(res.symbols))
     if res.dangling:
@@ -160,6 +163,7 @@ def _run_decode(args) -> int:
 
 
 def _run_factor(args) -> int:
+    from .omega import factorize
     fac = factorize(parse_coded(args.word))
     if fac.count == 1:
         print(f"count=1 cuts={list(fac.cuts[1:-1])}")
@@ -169,10 +173,12 @@ def _run_factor(args) -> int:
 
 
 def _run_viable(args) -> int:
+    from .omega import viable_prefix
     return _bool_line(viable_prefix(parse_coded(args.word)))
 
 
 def _run_lasso(args) -> int:
+    from .omega import lasso_member
     verdict = lasso_member(parse_up(args.word), args.bound)
     if verdict.status == "yes":
         print(f"yes loop_start={verdict.loop_start} "
@@ -186,6 +192,7 @@ def _run_lasso(args) -> int:
 
 
 def _run_theta(args) -> int:
+    from .omega import nth_factor
     if args.upto is not None:
         for i in range(args.upto + 1):
             print(f"{i} {nth_factor(i)}")
@@ -198,10 +205,12 @@ def _run_theta(args) -> int:
 
 
 def _run_dcheck(args) -> int:
+    from .omega import pairing_consistent
     return _bool_line(pairing_consistent(args.sigma, args.nu))
 
 
 def _run_verify_rp(args) -> int:
+    from .omega import verify_intersection_identity
     try:
         ok = verify_intersection_identity(args.p, args.n, args.report)
     except OSError as exc:
@@ -322,7 +331,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)

@@ -24,7 +24,7 @@ decodes and no eraser index exceeds p.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
                     up_normalize, up_prefix)
@@ -45,14 +45,13 @@ def encode(word: StagedWord) -> str:
     return "".join(parts)
 
 
-class DecodeResult(NamedTuple):
+class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):
     """Decoded symbols plus the dangling tail of an unfinished code.
 
     encode(symbols) + dangling always reconstructs the input text.
     """
 
-    symbols: StagedWord
-    dangling: str
+    __slots__ = ()
 
 
 def _tokenize(text: str) -> tuple[list[str], str] | None:
@@ -76,9 +75,13 @@ def _token_kinds(tokens: list[str]) -> list[int]:
 
 
 def _token_symbols(tokens: list[str]) -> StagedWord:
-    """The staged symbol of each token."""
-    return tuple([int(t) if len(t) == 1 else Eraser(len(t) - 2)
-                  for t in tokens])
+    """The staged symbol of each token, with one Eraser per distinct
+    code: erasers are immutable, so equal codes share one."""
+    symbol = {"0": 0, "1": 1}
+    for t in set(tokens):
+        if len(t) > 1:
+            symbol[t] = Eraser(len(t) - 2)
+    return tuple(map(symbol.__getitem__, tokens))
 
 
 def decode(text: str) -> DecodeResult:

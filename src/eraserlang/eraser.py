@@ -38,7 +38,8 @@ top.  Comparing dig against the push length decides everything:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize
 
@@ -47,27 +48,28 @@ FINITE = "finite"
 INFINITE = "infinite"
 
 
-class LoopCertificate(NamedTuple):
+class LoopCertificate(namedtuple(
+        "LoopCertificate", "warmup_periods loop_periods popped pushed")):
     """Replayable witness for an Infinite outcome.
 
     Starting from the evaluation stack reached after ``warmup_periods``
     periods, simulating ``loop_periods`` further periods pops exactly
-    ``popped`` symbols and then pushes exactly ``pushed``.
+    ``popped`` symbols and then pushes exactly ``pushed`` (a staged
+    word); the other three fields are ints.
     """
 
-    warmup_periods: int
-    loop_periods: int
-    popped: int
-    pushed: StagedWord
+    __slots__ = ()
 
 
-class EvalOutcome(NamedTuple):
-    """Result of a backspace evaluation: Undefined, Finite or Infinite."""
+class EvalOutcome(namedtuple("EvalOutcome", "status word up certificate",
+                             defaults=(None, None, None))):
+    """Result of a backspace evaluation: Undefined, Finite or Infinite.
 
-    status: str
-    word: Optional[StagedWord] = None
-    up: Optional[UPWord] = None
-    certificate: Optional[LoopCertificate] = None
+    ``status`` names the outcome; a Finite one carries its ``word``, an
+    Infinite one its ``up`` word and, optionally, a LoopCertificate.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def undefined(cls) -> "EvalOutcome":
@@ -79,7 +81,7 @@ class EvalOutcome(NamedTuple):
 
     @classmethod
     def infinite(cls, up: UPWord,
-                 certificate: Optional[LoopCertificate] = None) -> "EvalOutcome":
+                 certificate: LoopCertificate | None = None) -> "EvalOutcome":
         return cls(INFINITE, up=up, certificate=certificate)
 
     @property
@@ -100,7 +102,7 @@ def _kinds(word: Iterable) -> list[int]:
     return [sym.index if isinstance(sym, Eraser) else 0 for sym in word]
 
 
-def _pipeline(kinds: list[int]) -> Optional[list[int]]:
+def _pipeline(kinds: list[int]) -> list[int] | None:
     """Run every stage over a word given by its kinds (see _kinds): the
     positions of the symbols that survive, in order, or None when an
     eraser starves.
@@ -123,7 +125,7 @@ def _pipeline(kinds: list[int]) -> Optional[list[int]]:
     return list(alive)
 
 
-def _vanishing_top(word: Sequence) -> Optional[int]:
+def _vanishing_top(word: Sequence) -> int | None:
     """The top eraser index of a word that the pipeline erases to
     nothing (0 for the empty word), None for any other word.
 

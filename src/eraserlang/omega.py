@@ -24,9 +24,10 @@ checkable here at desk scale:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, count
-from typing import Iterator, NamedTuple, Optional
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
@@ -53,14 +54,14 @@ def vanishes_coded(word: str) -> bool:
 
 # ------------------------------------------------------------- factors
 
-class Factorization(NamedTuple):
+class Factorization(namedtuple("Factorization", "count cuts")):
     """Number of factor decompositions; cut positions when unique.
 
-    cuts lists every boundary including 0 and the word length.
+    cuts lists every boundary including 0 and the word length, or is
+    None.
     """
 
-    count: int
-    cuts: Optional[tuple[int, ...]]
+    __slots__ = ()
 
 
 _NO_PARSE = Factorization(0, None)
@@ -125,7 +126,9 @@ def viable_prefix(word: str) -> bool:
 
 # ----------------------------------------------------------- omega words
 
-class LassoVerdict(NamedTuple):
+class LassoVerdict(namedtuple(
+        "LassoVerdict", "status loop_start loop_length factor_cuts bound",
+        defaults=(None, None, None, None))):
     """Outcome of the bounded lasso search.
 
     yes: the word provably lies in the omega power; the loop segment
@@ -135,11 +138,7 @@ class LassoVerdict(NamedTuple):
     happened within the explored bound.
     """
 
-    status: str
-    loop_start: Optional[int] = None
-    loop_length: Optional[int] = None
-    factor_cuts: Optional[tuple[int, ...]] = None
-    bound: Optional[int] = None
+    __slots__ = ()
 
 
 def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
@@ -156,7 +155,7 @@ def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
     n = len(w)
     if not viable_prefix(w):
         return LassoVerdict("no")
-    cuts_upto: dict[int, Optional[tuple[int, ...]]] = {}
+    cuts_upto: dict[int, tuple[int, ...] | None] = {}
     for p1 in range(ulen, n + 1):
         for p2 in range(p1 + plen, n + 1, plen):
             if p2 not in cuts_upto:
@@ -284,7 +283,7 @@ def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
 
 
 def verify_intersection_identity(p: int, n: int,
-                                 report_path: Optional[str] = None) -> bool:
+                                 report_path: str | None = None) -> bool:
     """Compare, for every length up to n, prefixes of the intersection
     (omega power meets order-p block streams) against encodings of staged
     viable prefixes over indices up to p, mid-code stops included; both
@@ -359,7 +358,7 @@ def nth_factor(i: int) -> str:
         i -= len(row)
 
 
-def factor_index(word: str) -> Optional[int]:
+def factor_index(word: str) -> int | None:
     """Position of a factor in the enumeration, None for non-members."""
     if not is_factor(word):
         return None

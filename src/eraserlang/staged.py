@@ -19,9 +19,9 @@ loop: its parse stack is always S (E S)^h, so the height h stands for it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import chain, product
-from typing import Callable, Iterator, Optional
 
 from .words import Eraser, MalformedInput, StagedWord
 from .eraser import _vanishing_top
@@ -120,7 +120,7 @@ def vanishing_words(stages: int, max_len: int) -> list[StagedWord]:
         sym.index + 1 if isinstance(sym, Eraser) else sym for sym in word])]
 
 
-def min_stages(word: StagedWord) -> Optional[int]:
+def min_stages(word: StagedWord) -> int | None:
     """Smallest stage count whose language contains the word, if any.
 
     Membership is monotone in the stage count and constant once every

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Union
 
 ALPHA = "a"
 BETA = "b"
@@ -82,7 +81,7 @@ class Eraser:
 
 StagedWord = tuple
 # a finite word of either universe
-AnyWord = Union[str, tuple]
+AnyWord = str | tuple
 
 _STAGED_TOKEN = re.compile(r"E[1-9][0-9]*$")
 

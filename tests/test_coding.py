@@ -43,6 +43,22 @@ def test_decode_examples():
     assert res.symbols == () and res.dangling == "ab"
 
 
+def test_decode_builds_one_eraser_per_distinct_index(monkeypatch):
+    built = []
+    init = Eraser.__init__
+
+    def counting_init(self, index):
+        built.append(index)
+        init(self, index)
+
+    monkeypatch.setattr(Eraser, "__init__", counting_init)
+    # 160,000 codes over three indices, then a dangling code
+    res = decode("0aba1abba" * 40_000 + "abbba" * 80_000 + "ab")
+    assert sorted(built) == [1, 2, 3]
+    assert len(res.symbols) == 240_000 and res.dangling == "ab"
+    assert res.symbols[:4] == (0, E1, 1, E2) and res.symbols[-1] == E3
+
+
 @pytest.mark.parametrize("text, position", [
     ("aa", 2),      # empty code
     ("ab0", 3),     # letter inside a code
