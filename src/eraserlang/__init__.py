@@ -39,7 +39,7 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # imported here, not at the top, since a CLI call never gets here
+    # imported on the first name asked for, so a bare import loads nothing
     from importlib import import_module
 
     value = getattr(import_module(f".{_HOME[name]}", __name__), name)

@@ -7,22 +7,27 @@ Exit status 0 on success, 2 on malformed input or an unwritable report
 path (diagnostic on the error stream), 1 on internal failure.
 
 Every command is one row of the table ``_COMMANDS``: its help text, its
-arguments and the ``_run_*`` function that answers it.  ``member`` and
-``enumerate`` hold a table of sets in place of arguments, with rows of
-the same shape.  A call builds the argparse parser of the command it
-names only (and of that set only, under ``member``/``enumerate``); a
-command line that names none, such as ``--help``, gets every command.
+arguments and the run that answers it.  ``member`` and ``enumerate``
+hold a table of sets in place of arguments, with rows of the same
+shape.  A call builds the argparse parser of the command it names only
+(and of that set only, under ``member``/``enumerate``); a command line
+that names none, such as ``--help``, gets every command.
 
 A call also imports only the module of its command: this module takes
-nothing but ``words`` from the package at import, and each ``_run_*``
-imports its own function when it runs, so ``erase`` never loads
-``staged``, ``coding`` or ``omega``.
+nothing but ``words`` from the package at import and finds every other
+function by its public name on the package (``_lib``), whose lazy
+namespace loads the one module that defines it, so ``erase`` never
+loads ``staged``, ``coding`` or ``omega``.  The true/false questions
+about one word share the run ``_answer`` builds, and the evaluations
+the one ``_evaluate`` builds; the other commands print their own
+answers.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .words import (
     MalformedInput,
@@ -33,6 +38,14 @@ from .words import (
     parse_staged,
     parse_up,
 )
+
+_parse_up_staged = partial(parse_up, kind="staged")
+_parse_up_binary = partial(parse_up, kind="binary")
+
+
+def _lib(name: str):
+    """The library function or record of that public name."""
+    return getattr(sys.modules[__package__], name)
 
 
 def _positive(text: str) -> int:
@@ -65,97 +78,54 @@ def _outcome_line(out) -> int:
     return 0
 
 
-def _run_erase(args) -> int:
-    from .eraser import erase, erase_up
-    if args.up:
-        return _outcome_line(erase_up(parse_up(args.word, kind="staged")))
-    return _outcome_line(erase(parse_staged(args.word)))
+def _answer(name: str, parse, *flags: str):
+    """The run that prints the verdict of the library function name on
+    the word parse reads, with the values of flags after the word."""
+    def run(args) -> int:
+        return _bool_line(_lib(name)(
+            parse(args.word), *[getattr(args, flag) for flag in flags]))
+    return run
 
 
-def _run_staged_erase(args) -> int:
-    from .eraser import staged_erase, staged_erase_up
-    if args.up:
-        out = staged_erase_up(parse_up(args.word, kind="staged"), args.k)
-    else:
-        out = staged_erase(parse_staged(args.word), args.k)
-    return _outcome_line(out)
-
-
-def _run_member_l1_grammar(args) -> int:
-    from .staged import vanishes_by_grammar
-    return _bool_line(vanishes_by_grammar(parse_staged(args.word)))
-
-
-def _run_member_lk(args) -> int:
-    from .staged import vanishes
-    return _bool_line(vanishes(parse_staged(args.word), args.k))
-
-
-def _run_member_lscript(args) -> int:
-    from .omega import vanishes_coded
-    return _bool_line(vanishes_coded(parse_coded(args.word)))
-
-
-def _run_member_hv(args) -> int:
-    from .omega import is_factor
-    return _bool_line(is_factor(parse_coded(args.word)))
-
-
-def _run_member_rp(args) -> int:
-    from .coding import in_block_stream
-    return _bool_line(in_block_stream(parse_up(args.word), args.p))
-
-
-def _run_member_r(args) -> int:
-    from .omega import has_infinitely_many_ones
-    return _bool_line(
-        has_infinitely_many_ones(parse_up(args.word, kind="binary")))
-
-
-def _run_member_r_approx(args) -> int:
-    from .omega import in_erasure_ladder
-    return _bool_line(
-        in_erasure_ladder(parse_up(args.word, kind="staged"), args.p))
-
-
-def _run_member_encoded_r_approx(args) -> int:
-    from .omega import in_coded_erasure_ladder
-    return _bool_line(in_coded_erasure_ladder(parse_up(args.word), args.p))
+def _evaluate(name: str, *flags: str):
+    """The run that prints the outcome of the library function name on
+    a staged word, or of name_up on a prefix|period one under --up."""
+    def run(args) -> int:
+        evaluate = _lib(f"{name}_up" if args.up else name)
+        parse = _parse_up_staged if args.up else parse_staged
+        return _outcome_line(evaluate(
+            parse(args.word), *[getattr(args, flag) for flag in flags]))
+    return run
 
 
 def _run_enumerate_lk(args) -> int:
-    from .staged import vanishing_words
-    for word in vanishing_words(args.k, args.max_len):
+    for word in _lib("vanishing_words")(args.k, args.max_len):
         print(format_staged(word))
     return 0
 
 
 def _run_enumerate_hv(args) -> int:
-    from .omega import factor_words
-    for word in factor_words(args.max_len):
+    for word in _lib("factor_words")(args.max_len):
         print(word)
     return 0
 
 
 def _run_min_k(args) -> int:
-    from .staged import min_stages
-    k = min_stages(parse_staged(args.word))
+    k = _lib("min_stages")(parse_staged(args.word))
     print("none" if k is None else k)
     return 0
 
 
 def _run_encode(args) -> int:
-    from .coding import encode, encode_up
     if args.up:
-        print(format_up(encode_up(parse_up(args.word, kind="staged"))))
+        print(format_up(_lib("encode_up")(_parse_up_staged(args.word))))
     else:
-        print(encode(parse_staged(args.word)))
+        print(_lib("encode")(parse_staged(args.word)))
     return 0
 
 
 def _run_decode(args) -> int:
-    from .coding import decode
-    res = decode(parse_coded(args.word))
+    res = _lib("decode")(parse_coded(args.word))
     print(format_staged(res.symbols))
     if res.dangling:
         print(f"dangling: {res.dangling}")
@@ -163,8 +133,7 @@ def _run_decode(args) -> int:
 
 
 def _run_factor(args) -> int:
-    from .omega import factorize
-    fac = factorize(parse_coded(args.word))
+    fac = _lib("factorize")(parse_coded(args.word))
     if fac.count == 1:
         print(f"count=1 cuts={list(fac.cuts[1:-1])}")
     else:
@@ -172,14 +141,8 @@ def _run_factor(args) -> int:
     return 0
 
 
-def _run_viable(args) -> int:
-    from .omega import viable_prefix
-    return _bool_line(viable_prefix(parse_coded(args.word)))
-
-
 def _run_lasso(args) -> int:
-    from .omega import lasso_member
-    verdict = lasso_member(parse_up(args.word), args.bound)
+    verdict = _lib("lasso_member")(parse_up(args.word), args.bound)
     if verdict.status == "yes":
         print(f"yes loop_start={verdict.loop_start} "
               f"loop_length={verdict.loop_length} "
@@ -192,7 +155,7 @@ def _run_lasso(args) -> int:
 
 
 def _run_theta(args) -> int:
-    from .omega import nth_factor
+    nth_factor = _lib("nth_factor")
     if args.upto is not None:
         for i in range(args.upto + 1):
             print(f"{i} {nth_factor(i)}")
@@ -205,14 +168,12 @@ def _run_theta(args) -> int:
 
 
 def _run_dcheck(args) -> int:
-    from .omega import pairing_consistent
-    return _bool_line(pairing_consistent(args.sigma, args.nu))
+    return _bool_line(_lib("pairing_consistent")(args.sigma, args.nu))
 
 
 def _run_verify_rp(args) -> int:
-    from .omega import verify_intersection_identity
     try:
-        ok = verify_intersection_identity(args.p, args.n, args.report)
+        ok = _lib("verify_intersection_identity")(args.p, args.n, args.report)
     except OSError as exc:
         print(f"cannot write report {args.report}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -234,19 +195,23 @@ _MAX_LEN = _arg("--max-len", type=_nonnegative, default=8)
 # with sets of its own; the order is the order of the help listings
 _MEMBER_SETS = {
     "l1-grammar": ("one-stage language, by grammar derivation",
-                   [_WORD], _run_member_l1_grammar),
+                   [_WORD], _answer("vanishes_by_grammar", parse_staged)),
     "lk": ("k-stage erasure language, by evaluation",
-           [_WORD, _K], _run_member_lk),
+           [_WORD, _K], _answer("vanishes", parse_staged, "k")),
     "lscript": ("coded words vanishing at their own top stage",
-                [_WORD], _run_member_lscript),
-    "hv": ("the factor language (pad 0)*(pad 1)", [_WORD], _run_member_hv),
+                [_WORD], _answer("vanishes_coded", parse_coded)),
+    "hv": ("the factor language (pad 0)*(pad 1)", [_WORD],
+           _answer("is_factor", parse_coded)),
     "rp": ("order-p block streams (ultimately periodic)",
-           [_WORD, _P], _run_member_rp),
-    "r": ("binary words with infinitely many ones", [_WORD], _run_member_r),
+           [_WORD, _P], _answer("in_block_stream", parse_up, "p")),
+    "r": ("binary words with infinitely many ones", [_WORD],
+          _answer("has_infinitely_many_ones", _parse_up_binary)),
     "r-approx": ("staged words whose p-stage erasure has infinitely many "
-                 "ones", [_WORD, _P], _run_member_r_approx),
+                 "ones", [_WORD, _P],
+                 _answer("in_erasure_ladder", _parse_up_staged, "p")),
     "encoded-r-approx": ("coded twin of r-approx inside the order-p block "
-                         "streams", [_WORD, _P], _run_member_encoded_r_approx),
+                         "streams", [_WORD, _P],
+                         _answer("in_coded_erasure_ladder", parse_up, "p")),
 }
 
 _ENUMERATE_SETS = {
@@ -260,11 +225,11 @@ _COMMANDS = {
               [_arg("word", help="staged word, or prefix|period with --up"),
                _arg("--up", action="store_true",
                     help="treat the word as ultimately periodic")],
-              _run_erase),
+              _evaluate("erase")),
     "staged-erase": ("multi-stage eraser pipeline",
                      [_WORD, _arg("--k", type=_positive, required=True,
                                   help="number of stages"), _UP],
-                     _run_staged_erase),
+                     _evaluate("staged_erase", "k")),
     "member": ("membership queries", _MEMBER_SETS),
     "enumerate": ("exhaustive listings", _ENUMERATE_SETS),
     "min-k": ("least stage count that erases the word away",
@@ -274,7 +239,7 @@ _COMMANDS = {
     "factor": ("count factor decompositions, with cuts when unique",
                [_WORD], _run_factor),
     "viable": ("is the coded word a prefix of the omega power",
-               [_WORD], _run_viable),
+               [_WORD], _answer("viable_prefix", parse_coded)),
     "lasso": ("bounded omega power membership for prefix|period",
               [_WORD, _arg("--bound", type=_positive, default=8,
                            help="period copies to explore (default 8)")],

@@ -88,7 +88,7 @@ def _vanishing_rows(top: int, cost: Callable, budget: int) -> list[dict]:
     below j.  That pair is the inserted one, so each word is made once.
     """
     make = lru_cache(maxsize=None)(Eraser)  # the words share one per index
-    rows = [{(): top + 1}]
+    rows = [{(): top + 1}] if budget >= 0 else []
     for m in range(1, budget + 1):
         row: dict[StagedWord, int] = {}
         for j in range(1, top + 1):  # erasers made lazily: top may be huge

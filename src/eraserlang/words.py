@@ -86,21 +86,22 @@ AnyWord = str | tuple
 _STAGED_TOKEN = re.compile(r"E[1-9][0-9]*$")
 
 
-def parse_coded(text: str) -> str:
-    """Validate a coded word; returns the word itself."""
+def _check_chars(text: str, chars: str) -> str:
+    """Return text if every character is one of chars."""
     for i, ch in enumerate(text):
-        if ch not in CODED_CHARS:
+        if ch not in chars:
             raise MalformedInput(
                 f"unexpected character {ch!r} at position {i + 1}", i + 1)
     return text
+
+
+def parse_coded(text: str) -> str:
+    """Validate a coded word; returns the word itself."""
+    return _check_chars(text, CODED_CHARS)
 
 
 def parse_binary(text: str) -> str:
-    for i, ch in enumerate(text):
-        if ch not in BINARY_CHARS:
-            raise MalformedInput(
-                f"unexpected character {ch!r} at position {i + 1}", i + 1)
-    return text
+    return _check_chars(text, BINARY_CHARS)
 
 
 def parse_staged(text: str) -> StagedWord:

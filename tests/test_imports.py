@@ -112,8 +112,11 @@ EVERY = HELP + ["coding", "eraser", "omega", "staged"]
 @pytest.mark.parametrize("argv, modules", [
     (["--help"], HELP),
     (["erase", "0 E1"], ERASER),
+    (["erase", "--up", "|0 E1"], ERASER),
     (["staged-erase", "0 E1", "--k", "1"], ERASER),
+    (["staged-erase", "--up", "|0 E1", "--k", "1"], ERASER),
     (["encode", "0 E1"], CODING),
+    (["encode", "--up", "|0 E1"], CODING),
     (["decode", "0aba"], CODING),
     (["member", "rp", "|0aba", "--p", "1"], CODING),
     (["min-k", "0 E1"], STAGED),
@@ -121,6 +124,17 @@ EVERY = HELP + ["coding", "eraser", "omega", "staged"]
     (["member", "l1-grammar", "0 E1"], STAGED),
     (["enumerate", "lk", "--k", "1", "--max-len", "2"], STAGED),
     (["factor", "11"], EVERY),
+    (["viable", "0ab"], EVERY),
+    (["lasso", "|01", "--bound", "2"], EVERY),
+    (["theta", "3"], EVERY),
+    (["dcheck", "01", "01"], EVERY),
+    (["verify-rp", "--p", "1", "--n", "3"], EVERY),
+    (["enumerate", "hv", "--max-len", "2"], EVERY),
+    (["member", "hv", "0aba1"], EVERY),
+    (["member", "lscript", "0aba"], EVERY),
+    (["member", "r", "|01"], EVERY),
+    (["member", "r-approx", "|1 0 E1", "--p", "1"], EVERY),
+    (["member", "encoded-r-approx", "|0aba1", "--p", "1"], EVERY),
 ])
 def test_a_command_loads_only_its_modules(argv, modules):
     last = run("-c", MODULES, *argv).decode().splitlines()[-1]

@@ -105,6 +105,7 @@ def test_vanishing_words_pinned_lists():
     assert vanishing_words(2, 2) == [
         (), (0, E1), (0, E2), (1, E1), (1, E2), (E2, E1)]
     assert vanishing_words(1, 0) == [()]
+    assert vanishing_words(1, -1) == []
 
 
 @pytest.mark.parametrize("k, max_len", [(1, 8), (2, 6), (3, 5), (4, 4)])

@@ -10,6 +10,7 @@ from eraserlang import (
     UPWord,
     format_staged,
     format_up,
+    parse_binary,
     parse_coded,
     parse_staged,
     parse_up,
@@ -39,6 +40,13 @@ def test_parse_coded_rejects_with_position():
     with pytest.raises(MalformedInput) as err:
         parse_coded("0x1")
     assert "unexpected character 'x' at position 2" in str(err.value)
+    assert err.value.position == 2
+
+
+def test_parse_binary_rejects_with_position():
+    with pytest.raises(MalformedInput) as err:
+        parse_binary("0a1")
+    assert "unexpected character 'a' at position 2" in str(err.value)
     assert err.value.position == 2
 
 
