@@ -198,7 +198,7 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # ------------------------------------------------- intersection identity
 
 #
-# The two sides share no code, so each checks the other.  Each walk is
+# The two sides share no rule, so each checks the other.  Each walk is
 # a search over a prefix-closed set in which a word's continuations
 # depend on a small key alone, never on its letters: the key decides
 # which extensions are kept and what key each of them carries.  So the
@@ -206,80 +206,133 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # once per class and extension, and extend the whole class at once.
 # Every word still arises once, from its one parent and last letter or
 # token.
+#
+# A walk is generic in what a class carries: start is the value of the
+# empty word's class, grow(value, s) the value of a class extended by
+# the letters s, and classes that meet merge by +.  Carrying the words
+# ([""], grown by appending s) lists a side; carrying a count (1, grown
+# by nothing) counts it without building a word.  The counts decide the
+# check: neither walk lists a word twice, and every step the staged
+# walk takes is replayed through the intersection rules, so the image
+# lies in the intersection, and equal counts at every length make the
+# two sides equal (see verify_intersection_identity).
 
-def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
-    """Every viable prefix of an order-p block stream, up to length n.
+def _merge(classes: dict, key: tuple, value) -> None:
+    classes[key] = classes[key] + value if key in classes else value
 
-    Every live scanner state can be completed to a full stream, so the
-    walk follows the scanner.  It carries the stage-one depth (the
-    survivor count) along, which is all viable_prefix asks about: no
-    index-1 eraser may meet depth 0.  Under p = 1 a dangling code can
-    only complete to an index-1 eraser, so it needs depth 1 or more.
-    Viability is prefix closed, so a word that fails it ends its branch.
 
-    The scanner state and the depth decide every child, and its own
-    state and depth, so the words of one length are grouped by the pair
+def _rp_key(p: int, key: tuple, letters: str) -> tuple | None:
+    """The class of an intersection word of class key extended by the
+    letters, or None once a letter leaves the intersection.
+
+    A class is the scanner state and the stage-one depth (the survivor
+    count).  Every live scanner state can be completed to a full stream,
+    so the depth is all viable_prefix asks about: no index-1 eraser may
+    meet depth 0.  Under p = 1 a dangling code can only complete to an
+    index-1 eraser, so it needs depth 1 or more.
+    """
+    for ch in letters:
+        state, depth = key
+        nxt = _scan_step(state, ch, p)
+        if nxt is None:
+            return None
+        if nxt != _OUT:  # inside a code
+            if p == 1 and depth == 0:
+                return None
+            key = (nxt, depth)
+        elif state != 1:  # a letter or an index >= 2 eraser
+            key = (nxt, depth + 1)
+        elif depth:  # an index-1 eraser
+            key = (nxt, depth - 1)
+        else:
+            return None
+    return key
+
+
+def _rp_classes(p: int, n: int, start, grow) -> Iterator[dict]:
+    """The viable prefixes of order-p block streams up to length n, one
+    dict of classes per length.
+
+    Viability is prefix closed, so a word that fails it ends its branch,
     and each class takes one scanner step per letter.
     """
-    level = {(_OUT, 0): [""]}
-    for length in range(n + 1):
-        for words in level.values():
-            yield from words
-        if length == n:
-            return
-        children: dict[tuple[int, int], list[str]] = {}
-        for (state, depth), words in level.items():
+    level = {(_OUT, 0): start}
+    for _ in range(n):
+        yield level
+        children: dict = {}
+        for key, value in level.items():
             for ch in "01ab":
-                nxt = _scan_step(state, ch, p)
-                if nxt is None:
-                    continue
-                if nxt != _OUT:  # inside a code
-                    if p == 1 and depth == 0:
-                        continue
-                    key = (nxt, depth)
-                elif state != 1:  # a letter or an index >= 2 eraser
-                    key = (nxt, depth + 1)
-                elif depth:  # an index-1 eraser
-                    key = (nxt, depth - 1)
-                else:
-                    continue
-                children.setdefault(key, []).extend([w + ch for w in words])
+                child = _rp_key(p, key, ch)
+                if child is not None:
+                    _merge(children, child, grow(value, ch))
         level = children
+    yield level
+
+
+def _staged_steps(p: int, n: int):
+    """The steps of the staged walk: steps(d) lists each string that
+    extends a class of whole encodings at stage-one depth d, with the
+    class it leads to.
+
+    A staged viable prefix extends by a letter or by any eraser but an
+    index-1 one at depth 0; a whole encoding is in class (_OUT, depth).
+    A staged word coded longer than n adds no whole encoding up to n but
+    a stop inside its last code, an open code a b^j in class (j, depth);
+    it needs an eraser that may follow, which depth 0 allows only from
+    index 2.
+    """
+    codes = [encode((Eraser(j),)) for j in range(1, min(p, n) + 1)]
+    # each token with its change of depth: only an index-1 eraser pops
+    tokens = [("0", 1), ("1", 1)] + [(code, 1 if j > 1 else -1)
+                                     for j, code in enumerate(codes, 1)]
+    # the proper nonempty prefixes of the longest code hold every stop
+    stops = [codes[-1][:i] for i in range(1, len(codes[-1]))] if codes else []
+
+    def steps(depth: int) -> list:
+        return ([(token, (_OUT, depth + step)) for token, step in tokens
+                 if depth + step >= 0]
+                + [(stop, (len(stop) - 1, depth)) for stop in stops
+                   if depth or p >= 2])
+    return steps
+
+
+def _staged_classes(p: int, n: int, start, grow) -> Iterator[dict]:
+    """The prefixes of length up to n of the encodings of staged viable
+    prefixes over indices up to p, one dict of classes per length.
+
+    The steps of a class depend on its class alone, so the walk lists
+    the classes in length order, each step placing its children
+    len(step) letters further on.  A stop ends its word.
+    """
+    steps = _staged_steps(p, n)
+    levels: list = [{(_OUT, 0): start}] + [{} for _ in range(n)]
+    for length in range(n + 1):
+        # a walked level is let go, so memory stays flat in n
+        classes, levels[length] = levels[length], None
+        yield classes
+        for (state, depth), value in classes.items():
+            if state != _OUT:
+                continue
+            for s, child in steps(depth):
+                if length + len(s) <= n:
+                    _merge(levels[length + len(s)], child, grow(value, s))
+
+
+def _listed(walk, p: int, n: int) -> Iterator[str]:
+    """Every word of a class walk, which carries the words themselves."""
+    levels = walk(p, n, [""], lambda words, s: [w + s for w in words])
+    return (w for classes in levels for ws in classes.values() for w in ws)
+
+
+def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
+    """Every viable prefix of an order-p block stream, up to length n."""
+    return _listed(_rp_classes, p, n)
 
 
 def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
     """Every prefix of length up to n of the encoding of a staged viable
-    prefix over indices up to p, each once.
-
-    A staged viable prefix extends by a letter or by any eraser but an
-    index-1 one at depth 0, so the coded length and the stage-one depth
-    decide its children, and theirs; the walk groups the encodings by
-    the pair and lists the classes in length order, each token placing
-    its children len(token) letters further on.  A staged word coded
-    longer than n adds no prefix of length up to n but a stop inside its
-    last code, and its parent's class yields that stop.
-    """
-    codes = [encode((Eraser(j),)) for j in range(1, min(p, n) + 1)]
-    # the proper nonempty prefixes of the longest code hold every stop
-    stops = [codes[-1][:i] for i in range(1, len(codes[-1]))] if codes else []
-    # each token with its change of depth: only an index-1 eraser pops
-    tokens = [("0", 1), ("1", 1)] + [(code, 1 if j > 1 else -1)
-                                     for j, code in enumerate(codes, 1)]
-    levels: list[dict[int, list[str]]] = [{} for _ in range(n + 1)]
-    levels[0][0] = [""]
-    for length, classes in enumerate(levels):
-        room = n - length
-        for depth, encs in classes.items():
-            yield from encs
-            if not room:
-                continue
-            if depth or p >= 2:  # some eraser may follow
-                for stop in stops[:room]:
-                    yield from [enc + stop for enc in encs]
-            for token, step in tokens:
-                if len(token) <= room and depth + step >= 0:
-                    levels[length + len(token)].setdefault(
-                        depth + step, []).extend([enc + token for enc in encs])
+    prefix over indices up to p, each once."""
+    return _listed(_staged_classes, p, n)
 
 
 def verify_intersection_identity(p: int, n: int,
@@ -287,7 +340,30 @@ def verify_intersection_identity(p: int, n: int,
     """Compare, for every length up to n, prefixes of the intersection
     (omega power meets order-p block streams) against encodings of staged
     viable prefixes over indices up to p, mid-code stops included; both
-    sides are walked only up to length n."""
+    sides are walked only up to length n.
+
+    Both sides are counted, not listed: each walk carries a count per
+    class, and the two counts must agree at every length.  Equal counts
+    make equal sets by two more facts.
+
+    * The image lies in the intersection.  Every step of the staged walk
+      from a class (_OUT, d), a token or a stop, is run through the
+      intersection rules from (_OUT, d), and must land on the class the
+      staged walk gives it.  By induction over its steps, every image
+      word then has a class, not None, on the intersection side.  The
+      check takes every step from every depth up to n, more than the
+      walk takes, which proves no less.
+    * Each walk lists each word once, so a count is a number of distinct
+      words.  On the intersection side a word has one parent and one
+      last letter, and its parent one class.  On the image side the
+      tokens [01]|ab+a form a prefix code, so whole tokens parse one
+      way, and a stop a b^j is an open code, which no whole encoding
+      ends in.
+
+    So at each length the image is a subset of the intersection of the
+    same size, and the two are equal.  Only a failed check with a report
+    lists the words, to name each difference.
+    """
     if p < 1:
         raise ValueError("block order must be >= 1")
     if n < 0:
@@ -296,21 +372,28 @@ def verify_intersection_identity(p: int, n: int,
     report = None if report_path is None else open(report_path, "w",
                                                    encoding="ascii")
     try:
-        intersection = set(_viable_rp_prefixes(p, n))
-        image = set(_encoded_staged_prefixes(p, n))
-        ok = intersection == image
+        sizes = [[sum(classes.values())
+                  for classes in walk(p, n, 1, lambda count, s: count)]
+                 for walk in (_rp_classes, _staged_classes)]
+        steps = _staged_steps(p, n)
+        ok = sizes[0] == sizes[1] and all(
+            _rp_key(p, (_OUT, d), s) == child
+            for d in range(n + 1) for s, child in steps(d))
         if report is not None:
             lines = [
                 f"intersection identity check: block order p={p}, "
                 f"lengths up to n={n}",
                 f"result: {'PASS' if ok else 'FAIL'}",
-                f"intersection side: {len(intersection)} words, "
-                f"encoded staged side: {len(image)} words",
+                f"intersection side: {sum(sizes[0])} words, "
+                f"encoded staged side: {sum(sizes[1])} words",
             ]
-            for w in sorted(intersection - image):
-                lines.append(f"only in intersection side: {w or '(empty)'}")
-            for w in sorted(image - intersection):
-                lines.append(f"only in encoded staged side: {w or '(empty)'}")
+            if not ok:
+                intersection = set(_viable_rp_prefixes(p, n))
+                image = set(_encoded_staged_prefixes(p, n))
+                lines += [f"only in intersection side: {w or '(empty)'}"
+                          for w in sorted(intersection - image)]
+                lines += [f"only in encoded staged side: {w or '(empty)'}"
+                          for w in sorted(image - intersection)]
             report.write("\n".join(lines) + "\n")
     finally:
         if report is not None:

@@ -38,10 +38,11 @@ def test_report_path_that_is_a_directory_exits_2(capsys, tmp_path):
 
 def test_unwritable_report_path_fails_before_the_walks(capsys, tmp_path,
                                                        monkeypatch):
-    def walk(p, n):
+    def walk(p, n, start, grow):
         raise AssertionError("walked before opening the report")
 
-    monkeypatch.setattr(omega, "_viable_rp_prefixes", walk)
+    monkeypatch.setattr(omega, "_rp_classes", walk)
+    monkeypatch.setattr(omega, "_staged_classes", walk)
     missing = tmp_path / "missing" / "report.txt"
     code, out, err = run(capsys, "verify-rp", "--p", "1", "--n", "14",
                          "--report", str(missing))

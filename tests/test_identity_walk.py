@@ -14,13 +14,17 @@ starve on.
 """
 
 import time
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from eraserlang import (Eraser, MalformedInput, omega,
                         verify_intersection_identity)
-from eraserlang.omega import _encoded_staged_prefixes, _viable_rp_prefixes
+from eraserlang.coding import _OUT
+from eraserlang.omega import (_encoded_staged_prefixes, _rp_classes,
+                              _staged_classes, _viable_rp_prefixes)
 
 from oracles import decode_by_hand, single_pass, staged_words
 
@@ -91,15 +95,66 @@ def test_walk_sizes_are_pinned(p, n, size):
         assert len(walked) == len(set(walked)) == size, (walk, p, n)
 
 
+def sizes(walk, p, n):
+    """The number of words of each length up to n, as a class walk
+    counts them."""
+    return [sum(classes.values())
+            for classes in walk(p, n, 1, lambda count, s: count)]
+
+
+def losing(walk, lost):
+    """The class walk with the word lost from its class, from its count
+    as from its listing: the check reads the counts, the report the
+    words."""
+    def lossy(p, n, start, grow):
+        key = omega._rp_key(p, (_OUT, 0), lost)
+        for length, classes in enumerate(walk(p, n, start, grow)):
+            if length == len(lost):
+                kept = classes[key]
+                kept = (kept - 1 if isinstance(kept, int)
+                        else [w for w in kept if w != lost])
+                classes = {**classes, key: kept}
+            yield classes
+    return lossy
+
+
 def test_a_missing_word_fails_the_check(monkeypatch, tmp_path):
-    walk = _viable_rp_prefixes
-    monkeypatch.setattr(omega, "_viable_rp_prefixes",
-                        lambda p, n: (w for w in walk(p, n) if w != "0aba"))
+    monkeypatch.setattr(omega, "_rp_classes",
+                        losing(omega._rp_classes, "0aba"))
     report = tmp_path / "report.txt"
     assert not verify_intersection_identity(1, 4, report_path=str(report))
     lines = report.read_text().splitlines()
     assert lines[1] == "result: FAIL"
     assert "only in encoded staged side: 0aba" in lines
+
+
+def test_a_missing_image_word_fails_the_check(monkeypatch, tmp_path):
+    monkeypatch.setattr(omega, "_staged_classes",
+                        losing(omega._staged_classes, "0aba"))
+    report = tmp_path / "report.txt"
+    assert not verify_intersection_identity(1, 4, report_path=str(report))
+    lines = report.read_text().splitlines()
+    assert lines[1] == "result: FAIL"
+    assert lines[2] == ("intersection side: 53 words, "
+                        "encoded staged side: 52 words")
+    assert lines[3:] == ["only in intersection side: 0aba"]
+
+
+def test_an_image_word_outside_the_intersection_fails_the_check(
+        monkeypatch):
+    """Writing the letter 1 as b keeps every count of the image walk, so
+    only the inclusion check can see it."""
+    staged_steps = omega._staged_steps
+
+    def misspelt(p, n):
+        steps = staged_steps(p, n)
+        return lambda depth: [("b" if s == "1" else s, child)
+                              for s, child in steps(depth)]
+
+    monkeypatch.setattr(omega, "_staged_steps", misspelt)
+    assert (sizes(omega._rp_classes, 1, 4)
+            == sizes(omega._staged_classes, 1, 4))
+    assert not verify_intersection_identity(1, 4)
 
 
 def test_staged_side_ignores_indices_that_cannot_fit():
@@ -111,3 +166,44 @@ def test_larger_identity_case_is_fast():
     t0 = time.perf_counter()
     assert verify_intersection_identity(3, 9)
     assert time.perf_counter() - t0 < 1.0
+
+
+# ------------------------------------------ the check counts, not lists
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_counts_are_the_sizes_of_the_listings(p):
+    for n in range(12):
+        for classes, listing in ((_rp_classes, _viable_rp_prefixes),
+                                 (_staged_classes, _encoded_staged_prefixes)):
+            listed = Counter(map(len, listing(p, n)))
+            assert (sizes(classes, p, n)
+                    == [listed[length] for length in range(n + 1)]), (p, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 200), (5, 120)])
+def test_long_prefixes_pass_in_seconds(p, n):
+    t0 = time.perf_counter()
+    assert verify_intersection_identity(p, n)
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("p, n, size", [(1, 10, 6245), (2, 9, 3583)])
+def test_pass_report_is_pinned(p, n, size, tmp_path):
+    report = tmp_path / "report.txt"
+    assert verify_intersection_identity(p, n, report_path=str(report))
+    assert report.read_bytes() == (
+        f"intersection identity check: block order p={p}, "
+        f"lengths up to n={n}\n"
+        "result: PASS\n"
+        f"intersection side: {size} words, "
+        f"encoded staged side: {size} words\n").encode("ascii")
+
+
+def test_memory_stays_flat_in_the_length():
+    tracemalloc.start()
+    try:
+        assert verify_intersection_identity(2, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
