@@ -211,11 +211,11 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # empty word's class, grow(value, s) the value of a class extended by
 # the letters s, and classes that meet merge by +.  Carrying the words
 # ([""], grown by appending s) lists a side; carrying a count (1, grown
-# by nothing) counts it without building a word.  The counts decide the
-# check: neither walk lists a word twice, and every step the staged
-# walk takes is replayed through the intersection rules, so the image
-# lies in the intersection, and equal counts at every length make the
-# two sides equal (see verify_intersection_identity).
+# by nothing) counts it without building a word.  The one-token steps
+# decide the check: from every class outside a code, the intersection
+# rules and the staged walk must offer the same strings, landing on the
+# same classes, and then the two sides are equal at every length (see
+# verify_intersection_identity).  The counts only size a report.
 
 def _merge(classes: dict, key: tuple, value) -> None:
     classes[key] = classes[key] + value if key in classes else value
@@ -267,6 +267,30 @@ def _rp_classes(p: int, n: int, start, grow) -> Iterator[dict]:
                     _merge(children, child, grow(value, ch))
         level = children
     yield level
+
+
+def _rp_steps(p: int, depth: int, room: int) -> set:
+    """The steps of the intersection side from class (_OUT, depth): each
+    string of at most room letters that leaves a code again or stops
+    inside one, with the class _rp_key gives it.
+
+    A search over _rp_key, one letter at a time: a string that lands
+    inside a code is a stop and grows on, one that lands outside is a
+    token and ends its branch.
+    """
+    found = set()
+    frontier = [("", (_OUT, depth))]
+    while frontier:
+        s, key = frontier.pop()
+        if len(s) == room:
+            continue
+        for ch in "01ab":
+            child = _rp_key(p, key, ch)
+            if child is not None:
+                found.add((s + ch, child))
+                if child[0] != _OUT:
+                    frontier.append((s + ch, child))
+    return found
 
 
 def _staged_steps(p: int, n: int):
@@ -339,47 +363,63 @@ def verify_intersection_identity(p: int, n: int,
                                  report_path: str | None = None) -> bool:
     """Compare, for every length up to n, prefixes of the intersection
     (omega power meets order-p block streams) against encodings of staged
-    viable prefixes over indices up to p, mid-code stops included; both
-    sides are walked only up to length n.
+    viable prefixes over indices up to p, mid-code stops included.
 
-    Both sides are counted, not listed: each walk carries a count per
-    class, and the two counts must agree at every length.  Equal counts
-    make equal sets by two more facts.
+    The verdict is a local step check, with no word of either side built.
+    A step from a class (_OUT, d) is a whole token, which lands outside a
+    code, or a stop inside one, each with the class it lands on.  For
+    every depth d from 0 to n, the steps of at most n - d letters must
+    be the same on both sides: those the intersection rules allow
+    (_rp_steps, a search over _rp_key) and those the staged walk takes
+    (_staged_steps).  Equal steps make equal sides by induction.
 
-    * The image lies in the intersection.  Every step of the staged walk
-      from a class (_OUT, d), a token or a stop, is run through the
-      intersection rules from (_OUT, d), and must land on the class the
-      staged walk gives it.  By induction over its steps, every image
-      word then has a class, not None, on the intersection side.  The
-      check takes every step from every depth up to n, more than the
-      walk takes, which proves no less.
-    * Each walk lists each word once, so a count is a number of distinct
-      words.  On the intersection side a word has one parent and one
-      last letter, and its parent one class.  On the image side the
-      tokens [01]|ab+a form a prefix code, so whole tokens parse one
-      way, and a stop a b^j is an open code, which no whole encoding
-      ends in.
+    * Both walks are deterministic over the same classes: a word's class
+      is fixed by its parent's class and the letters added.
+    * A word's depth never exceeds the letters it has read: a token adds
+      at most one to the depth and is at least one letter long.  So a
+      word of m letters in class (_OUT, d) has d <= m, and a step it
+      takes within length n has at most n - m <= n - d letters.  The
+      check holds every step a word up to length n can take.
+    * Cut a word of the intersection side after each prefix whose class
+      lies outside a code.  Every piece is a step from the class before
+      it, all the way inside a code but for its end, and only the last
+      piece may stop inside one.  By induction over the pieces each is a
+      staged step from the same class, landing on the same class, so the
+      word is on the staged side.  Conversely a staged word splits
+      uniquely into tokens plus an optional stop, since the tokens
+      [01]|ab+a form a prefix code; by the same induction each of them is
+      a step of the intersection side, so _rp_key never rejects the word.
 
-    So at each length the image is a subset of the intersection of the
-    same size, and the two are equal.  Only a failed check with a report
-    lists the words, to name each difference.
+    So the two sides are equal at every length up to n, and still share
+    no rule.  The check costs O(n * p^2) letters, p capped at n: n + 1
+    depths, about 2p steps each, of at most p + 2 letters.
+
+    Only a report counts the words: each walk carries a count per class,
+    at O(n^2 * p), and the two counts must agree at every length too.
+    Each walk lists each word once, so a count is a number of distinct
+    words: on the intersection side a word has one parent and one last
+    letter, and its parent one class; on the staged side the tokens parse
+    one way, and a stop a b^j is an open code, which no whole encoding
+    ends in.  Only a failed check with a report lists the words, to name
+    each difference.
     """
     if p < 1:
         raise ValueError("block order must be >= 1")
     if n < 0:
         raise ValueError("length bound must be >= 0")
-    # opened before the walks, so an unwritable path fails at once
+    # opened before any walk, so an unwritable path fails at once
     report = None if report_path is None else open(report_path, "w",
                                                    encoding="ascii")
     try:
-        sizes = [[sum(classes.values())
-                  for classes in walk(p, n, 1, lambda count, s: count)]
-                 for walk in (_rp_classes, _staged_classes)]
         steps = _staged_steps(p, n)
-        ok = sizes[0] == sizes[1] and all(
-            _rp_key(p, (_OUT, d), s) == child
-            for d in range(n + 1) for s, child in steps(d))
+        ok = all(_rp_steps(p, d, n - d)
+                 == {(s, child) for s, child in steps(d) if len(s) <= n - d}
+                 for d in range(n + 1))
         if report is not None:
+            sizes = [[sum(classes.values())
+                      for classes in walk(p, n, 1, lambda count, s: count)]
+                     for walk in (_rp_classes, _staged_classes)]
+            ok = ok and sizes[0] == sizes[1]
             lines = [
                 f"intersection identity check: block order p={p}, "
                 f"lengths up to n={n}",

@@ -19,6 +19,7 @@ loop: its parse stack is always S (E S)^h, so the height h stands for it.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import chain, product
@@ -113,11 +114,26 @@ def vanishing_words(stages: int, max_len: int) -> list[StagedWord]:
     the symbol order 0 < 1 < Eraser(1) < .. < Eraser(stages)."""
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    # symbol ranks as sort keys: encodings would order the words alike,
-    # but grow with the eraser index
     rows = _vanishing_rows(stages, lambda sym: 1, max_len)
-    return [w for row in rows for w in sorted(row, key=lambda word: [
-        sym.index + 1 if isinstance(sym, Eraser) else sym for sym in word])]
+    key = _rank_key(stages)
+    return [w for row in rows for w in sorted(row, key=key)]
+
+
+def _rank_key(top: int) -> Callable[[StagedWord], str | list]:
+    """A sort key for staged words over indices up to top, by the symbol
+    ranks 0 < 1 < Eraser(1) < .. < Eraser(top).
+
+    Encodings would order the words alike, but grow with the eraser
+    index.  A string with one code point per rank compares like the list
+    of ranks and is cheaper to build; the list is the key only once a
+    rank would pass the last code point.
+    """
+    if top < sys.maxunicode:
+        return lambda word: "".join([
+            chr(sym.index + 1) if isinstance(sym, Eraser) else chr(sym)
+            for sym in word])
+    return lambda word: [sym.index + 1 if isinstance(sym, Eraser) else sym
+                         for sym in word]
 
 
 def min_stages(word: StagedWord) -> int | None:

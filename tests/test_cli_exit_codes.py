@@ -41,8 +41,12 @@ def test_unwritable_report_path_fails_before_the_walks(capsys, tmp_path,
     def walk(p, n, start, grow):
         raise AssertionError("walked before opening the report")
 
+    def search(p, depth, room):
+        raise AssertionError("searched steps before opening the report")
+
     monkeypatch.setattr(omega, "_rp_classes", walk)
     monkeypatch.setattr(omega, "_staged_classes", walk)
+    monkeypatch.setattr(omega, "_rp_steps", search)
     missing = tmp_path / "missing" / "report.txt"
     code, out, err = run(capsys, "verify-rp", "--p", "1", "--n", "14",
                          "--report", str(missing))

@@ -143,7 +143,7 @@ def test_a_missing_image_word_fails_the_check(monkeypatch, tmp_path):
 def test_an_image_word_outside_the_intersection_fails_the_check(
         monkeypatch):
     """Writing the letter 1 as b keeps every count of the image walk, so
-    only the inclusion check can see it."""
+    only the step check can see it."""
     staged_steps = omega._staged_steps
 
     def misspelt(p, n):
@@ -203,6 +203,86 @@ def test_memory_stays_flat_in_the_length():
     tracemalloc.start()
     try:
         assert verify_intersection_identity(2, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+
+
+# ----------------------------------- the verdict is a local step check
+#
+# Without a report no count is taken, so each fault below must fail the
+# step check alone.
+
+def test_an_index_one_eraser_closing_at_depth_0_fails_the_check(
+        monkeypatch):
+    rp_key = omega._rp_key
+
+    def lenient(p, key, letters):
+        if key == (1, 0) and letters == "a":
+            return (_OUT, 0)
+        return rp_key(p, key, letters)
+
+    monkeypatch.setattr(omega, "_rp_key", lenient)
+    assert not verify_intersection_identity(2, 6)
+
+
+def test_a_code_open_at_depth_0_under_p_1_fails_the_check(monkeypatch):
+    rp_key = omega._rp_key
+
+    def lenient(p, key, letters):
+        if key == (_OUT, 0) and letters == "a":
+            return (0, 0)
+        return rp_key(p, key, letters)
+
+    monkeypatch.setattr(omega, "_rp_key", lenient)
+    assert not verify_intersection_identity(1, 6)
+
+
+def test_a_staged_stop_at_depth_0_under_p_1_fails_the_check(monkeypatch):
+    staged_steps = omega._staged_steps
+
+    def stopping(p, n):
+        steps = staged_steps(p, n)
+        return lambda depth: steps(depth) + ([("a", (0, 0))] if depth == 0
+                                             else [])
+
+    monkeypatch.setattr(omega, "_staged_steps", stopping)
+    assert not verify_intersection_identity(1, 6)
+
+
+def test_a_staged_token_one_depth_off_fails_the_check(monkeypatch):
+    staged_steps = omega._staged_steps
+
+    def shifted(p, n):
+        steps = staged_steps(p, n)
+        return lambda depth: [(s, (state, d + 1) if s == "0" else (state, d))
+                              for s, (state, d) in steps(depth)]
+
+    monkeypatch.setattr(omega, "_staged_steps", shifted)
+    assert not verify_intersection_identity(2, 6)
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_short_prefixes_pass(p):
+    assert all(verify_intersection_identity(p, n) for n in range(16))
+
+
+def test_huge_block_order_passes():
+    assert verify_intersection_identity(10 ** 9, 60)
+
+
+@pytest.mark.parametrize("p, n", [(5, 400), (2, 2000)])
+def test_very_long_prefixes_pass_within_a_second(p, n):
+    t0 = time.perf_counter()
+    assert verify_intersection_identity(p, n)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_memory_stays_flat_at_two_thousand_letters():
+    tracemalloc.start()
+    try:
+        assert verify_intersection_identity(2, 2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
