@@ -212,9 +212,11 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # the letters s, and classes that meet merge by +.  Carrying the words
 # ([""], grown by appending s) lists a side; carrying a count (1, grown
 # by nothing) counts it without building a word.  The one-token steps
-# decide the check: from every class outside a code, the intersection
-# rules and the staged walk must offer the same strings, landing on the
-# same classes, and then the two sides are equal at every length (see
+# decide the check: from the classes outside a code at depths 0 and 1,
+# the intersection rules and the staged walk must offer the same
+# strings, landing on the same classes.  A deeper class takes the
+# depth-1 steps with its landing depths shifted, on both sides, so the
+# two sides are then equal at every length (see
 # verify_intersection_identity).  The counts only size a report.
 
 def _merge(classes: dict, key: tuple, value) -> None:
@@ -391,8 +393,26 @@ def verify_intersection_identity(p: int, n: int,
       a step of the intersection side, so _rp_key never rejects the word.
 
     So the two sides are equal at every length up to n, and still share
-    no rule.  The check costs O(n * p^2) letters, p capped at n: n + 1
-    depths, about 2p steps each, of at most p + 2 letters.
+    no rule.  The check compares the steps at d = 0 (room n) and d = 1
+    (room n - 1) only, which stand for every depth:
+
+    * Shift.  _rp_key reads the depth only through `p == 1 and
+      depth == 0` and `elif depth`; inside a code the depth does not
+      change, and a step moves it by at most one, at the step's end
+      only.  _staged_steps reads it only through `depth + step >= 0`
+      and `depth or p >= 2`.  No test tells two depths >= 1 apart, so
+      on each side the steps from any d >= 1 are the depth-1 steps with
+      every landing depth raised by d - 1.
+    * Room.  A smaller room n - d keeps, on both sides alike, the
+      shifted depth-1 steps of at most n - d letters.  So equal steps at
+      d = 1 within room n - 1 are equal steps at every d >= 1 within
+      room n - d.
+
+    The check costs O(min(p, n)^2) letters: two depths, about
+    2 min(p, n) steps each, of at most min(p, n) + 2 letters.  Once
+    n > p + 2 the cost no longer grows with n.  The shift rests on how
+    the two sides read the depth, which the tests pin on both; a report
+    compares the counts, so it sees a fault at any depth.
 
     Only a report counts the words: each walk carries a count per class,
     at O(n^2 * p), and the two counts must agree at every length too.
@@ -412,9 +432,10 @@ def verify_intersection_identity(p: int, n: int,
                                                    encoding="ascii")
     try:
         steps = _staged_steps(p, n)
+        # depths 0 and 1 stand for every depth up to n (see above)
         ok = all(_rp_steps(p, d, n - d)
                  == {(s, child) for s, child in steps(d) if len(s) <= n - d}
-                 for d in range(n + 1))
+                 for d in range(min(n, 1) + 1))
         if report is not None:
             sizes = [[sum(classes.values())
                       for classes in walk(p, n, 1, lambda count, s: count)]

@@ -287,3 +287,84 @@ def test_memory_stays_flat_at_two_thousand_letters():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10 ** 6
+
+
+# ------------------------- depths 0 and 1 stand for every depth (shift)
+#
+# The verdict compares the steps at depths 0 and 1 only.  That rests on
+# the shift: from any depth d >= 1 each side takes its depth-1 steps with
+# every landing depth raised by d - 1.  The pin below checks it on both
+# sides, so a rule that tells two depths >= 1 apart fails here even
+# where the verdict cannot see it.
+
+def raised(steps, by):
+    """The steps with every landing depth raised by `by`."""
+    return {(s, (state, depth + by)) for s, (state, depth) in steps}
+
+
+def shift_breaks(p, max_depth=40):
+    """Each (side, depth, room) at which the steps from a class
+    (_OUT, d >= 1) are not the depth-1 steps raised by d - 1."""
+    broken = []
+    for room in range(p + 4):
+        rp_one = omega._rp_steps(p, 1, room)
+        staged = omega._staged_steps(p, room)
+        staged_one = staged(1)
+        for d in range(1, max_depth + 1):
+            if omega._rp_steps(p, d, room) != raised(rp_one, d - 1):
+                broken.append(("intersection", d, room))
+            if set(staged(d)) != raised(staged_one, d - 1):
+                broken.append(("staged", d, room))
+    return broken
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_deeper_steps_are_the_depth_1_steps_shifted(p):
+    assert shift_breaks(p) == []
+
+
+def all_depths_verdict(p, n):
+    """The reference verdict, which assumes no shift: the steps compared
+    at every depth d from 0 to n, each within room n - d."""
+    steps = omega._staged_steps(p, n)
+    return all(omega._rp_steps(p, d, n - d)
+               == {(s, child) for s, child in steps(d) if len(s) <= n - d}
+               for d in range(n + 1))
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_verdict_agrees_with_every_depth(p):
+    for n in range(16):
+        assert verify_intersection_identity(p, n) == all_depths_verdict(p, n)
+
+
+def test_a_fault_at_depth_3_breaks_the_shift(monkeypatch, tmp_path):
+    """An index-1 eraser refused at depth 3 alone: the steps at depths 0
+    and 1 stay equal, so the pin and a report's counts must catch it."""
+    rp_key = omega._rp_key
+
+    def strict(p, key, letters):
+        if key == (1, 3) and letters == "a":
+            return None
+        return rp_key(p, key, letters)
+
+    monkeypatch.setattr(omega, "_rp_key", strict)
+    assert not all_depths_verdict(2, 9)
+    assert ("intersection", 3, 3) in shift_breaks(2)
+    report = tmp_path / "report.txt"
+    assert not verify_intersection_identity(2, 9, report_path=str(report))
+    assert report.read_text().splitlines()[1] == "result: FAIL"
+
+
+def test_a_billion_letters_pass_at_once():
+    t0 = time.perf_counter()
+    assert all(verify_intersection_identity(p, 10 ** 9) for p in range(1, 6))
+    assert time.perf_counter() - t0 < 0.1
+    tracemalloc.start()
+    try:
+        assert all(verify_intersection_identity(p, 10 ** 9)
+                   for p in range(1, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
