@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, count
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
@@ -198,34 +198,38 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # ------------------------------------------------- intersection identity
 
 #
-# The two sides share no rule, so each checks the other.  Each walk is
-# a search over a prefix-closed set in which a word's continuations
-# depend on a small key alone, never on its letters: the key decides
-# which extensions are kept and what key each of them carries.  So the
-# walks go length by length over classes of words with equal keys, ask
-# once per class and extension, and extend the whole class at once.
-# Every word still arises once, from its one parent and last letter or
-# token.
+# The two sides share no rule, so each checks the other.  Each side is a
+# prefix-closed set in which a word's continuations depend on a small
+# class alone, never on its letters: the scanner state and the stage-one
+# depth.  So a side is nothing but its step function: steps(d) lists each
+# string that takes a class (_OUT, d) outside a code to the next class
+# outside one (a whole token) or stops inside a code, with the class it
+# lands on.  The intersection side searches its steps over its rules,
+# _rp_key; the staged side reads them off the encoded tokens.
 #
-# A walk is generic in what a class carries: start is the value of the
-# empty word's class, grow(value, s) the value of a class extended by
-# the letters s, and classes that meet merge by +.  Carrying the words
-# ([""], grown by appending s) lists a side; carrying a count (1, grown
-# by nothing) counts it without building a word.  The one-token steps
-# decide the check: from the classes outside a code at depths 0 and 1,
-# the intersection rules and the staged walk must offer the same
-# strings, landing on the same classes.  A deeper class takes the
-# depth-1 steps with its landing depths shifted, on both sides, so the
-# two sides are then equal at every length (see
-# verify_intersection_identity).  The counts only size a report.
+# One walk, _classes, spells either side from its steps.  It goes length
+# by length over the classes of words, asks once per class outside a
+# code for its steps, and extends the whole class at once.  Every word
+# still arises once, cut after each prefix whose class lies outside a
+# code.  The walk is generic in what a class carries: start is the value
+# of the empty word's class, grow(value, s) the value of a class
+# extended by the letters s, and classes that meet merge by +.  Carrying
+# the words ([""], grown by appending s) lists a side; carrying a count
+# (1, grown by nothing) counts it without building a word.
+#
+# The steps at depths 0 and 1 decide the check: there both sides must
+# offer the same strings, landing on the same classes.  A deeper class
+# takes the depth-1 steps with its landing depths shifted, on both sides,
+# so the two sides are then equal at every length (see
+# verify_intersection_identity).  The walk only serves a report.
 
 def _merge(classes: dict, key: tuple, value) -> None:
     classes[key] = classes[key] + value if key in classes else value
 
 
-def _rp_key(p: int, key: tuple, letters: str) -> tuple | None:
+def _rp_key(p: int, key: tuple, ch: str) -> tuple | None:
     """The class of an intersection word of class key extended by the
-    letters, or None once a letter leaves the intersection.
+    letter ch, or None once it leaves the intersection.
 
     A class is the scanner state and the stage-one depth (the survivor
     count).  Every live scanner state can be completed to a full stream,
@@ -233,70 +237,47 @@ def _rp_key(p: int, key: tuple, letters: str) -> tuple | None:
     meet depth 0.  Under p = 1 a dangling code can only complete to an
     index-1 eraser, so it needs depth 1 or more.
     """
-    for ch in letters:
-        state, depth = key
-        nxt = _scan_step(state, ch, p)
-        if nxt is None:
-            return None
-        if nxt != _OUT:  # inside a code
-            if p == 1 and depth == 0:
-                return None
-            key = (nxt, depth)
-        elif state != 1:  # a letter or an index >= 2 eraser
-            key = (nxt, depth + 1)
-        elif depth:  # an index-1 eraser
-            key = (nxt, depth - 1)
-        else:
-            return None
-    return key
+    state, depth = key
+    nxt = _scan_step(state, ch, p)
+    if nxt is None:
+        return None
+    if nxt != _OUT:  # inside a code
+        return None if p == 1 and depth == 0 else (nxt, depth)
+    if state != 1:  # a letter or an index >= 2 eraser
+        return (nxt, depth + 1)
+    if depth:  # an index-1 eraser
+        return (nxt, depth - 1)
+    return None
 
 
-def _rp_classes(p: int, n: int, start, grow) -> Iterator[dict]:
-    """The viable prefixes of order-p block streams up to length n, one
-    dict of classes per length.
-
-    Viability is prefix closed, so a word that fails it ends its branch,
-    and each class takes one scanner step per letter.
-    """
-    level = {(_OUT, 0): start}
-    for _ in range(n):
-        yield level
-        children: dict = {}
-        for key, value in level.items():
-            for ch in "01ab":
-                child = _rp_key(p, key, ch)
-                if child is not None:
-                    _merge(children, child, grow(value, ch))
-        level = children
-    yield level
-
-
-def _rp_steps(p: int, depth: int, room: int) -> set:
-    """The steps of the intersection side from class (_OUT, depth): each
-    string of at most room letters that leaves a code again or stops
-    inside one, with the class _rp_key gives it.
+def _rp_steps(p: int, n: int):
+    """The steps of the intersection side: steps(d) lists each string of
+    at most n letters that takes class (_OUT, d) out of a code again or
+    stops inside one, with the class _rp_key gives it.
 
     A search over _rp_key, one letter at a time: a string that lands
     inside a code is a stop and grows on, one that lands outside is a
     token and ends its branch.
     """
-    found = set()
-    frontier = [("", (_OUT, depth))]
-    while frontier:
-        s, key = frontier.pop()
-        if len(s) == room:
-            continue
-        for ch in "01ab":
-            child = _rp_key(p, key, ch)
-            if child is not None:
-                found.add((s + ch, child))
-                if child[0] != _OUT:
-                    frontier.append((s + ch, child))
-    return found
+    def steps(depth: int) -> list:
+        found = []
+        frontier = [("", (_OUT, depth))]
+        while frontier:
+            s, key = frontier.pop()
+            if len(s) == n:
+                continue
+            for ch in "01ab":
+                child = _rp_key(p, key, ch)
+                if child is not None:
+                    found.append((s + ch, child))
+                    if child[0] != _OUT:
+                        frontier.append((s + ch, child))
+        return found
+    return steps
 
 
 def _staged_steps(p: int, n: int):
-    """The steps of the staged walk: steps(d) lists each string that
+    """The steps of the staged side: steps(d) lists each string that
     extends a class of whole encodings at stage-one depth d, with the
     class it leads to.
 
@@ -322,15 +303,15 @@ def _staged_steps(p: int, n: int):
     return steps
 
 
-def _staged_classes(p: int, n: int, start, grow) -> Iterator[dict]:
-    """The prefixes of length up to n of the encodings of staged viable
-    prefixes over indices up to p, one dict of classes per length.
+def _classes(steps, n: int, start, grow) -> Iterator[dict]:
+    """The words of length up to n that a side's steps spell from the
+    empty word, one dict of classes per length.
 
     The steps of a class depend on its class alone, so the walk lists
     the classes in length order, each step placing its children
     len(step) letters further on.  A stop ends its word.
     """
-    steps = _staged_steps(p, n)
+    steps = cache(steps)  # one search per depth, for this walk only
     levels: list = [{(_OUT, 0): start}] + [{} for _ in range(n)]
     for length in range(n + 1):
         # a walked level is let go, so memory stays flat in n
@@ -344,21 +325,21 @@ def _staged_classes(p: int, n: int, start, grow) -> Iterator[dict]:
                     _merge(levels[length + len(s)], child, grow(value, s))
 
 
-def _listed(walk, p: int, n: int) -> Iterator[str]:
-    """Every word of a class walk, which carries the words themselves."""
-    levels = walk(p, n, [""], lambda words, s: [w + s for w in words])
+def _listed(steps, n: int) -> Iterator[str]:
+    """Every word a side's steps spell, the walk carrying the words."""
+    levels = _classes(steps, n, [""], lambda words, s: [w + s for w in words])
     return (w for classes in levels for ws in classes.values() for w in ws)
 
 
 def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
     """Every viable prefix of an order-p block stream, up to length n."""
-    return _listed(_rp_classes, p, n)
+    return _listed(_rp_steps(p, n), n)
 
 
 def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
     """Every prefix of length up to n of the encoding of a staged viable
     prefix over indices up to p, each once."""
-    return _listed(_staged_classes, p, n)
+    return _listed(_staged_steps(p, n), n)
 
 
 def verify_intersection_identity(p: int, n: int,
@@ -372,10 +353,10 @@ def verify_intersection_identity(p: int, n: int,
     code, or a stop inside one, each with the class it lands on.  For
     every depth d from 0 to n, the steps of at most n - d letters must
     be the same on both sides: those the intersection rules allow
-    (_rp_steps, a search over _rp_key) and those the staged walk takes
+    (_rp_steps, a search over _rp_key) and those the staged side takes
     (_staged_steps).  Equal steps make equal sides by induction.
 
-    * Both walks are deterministic over the same classes: a word's class
+    * Both sides are deterministic over the same classes: a word's class
       is fixed by its parent's class and the letters added.
     * A word's depth never exceeds the letters it has read: a token adds
       at most one to the depth and is at least one letter long.  So a
@@ -397,7 +378,7 @@ def verify_intersection_identity(p: int, n: int,
     (room n - 1) only, which stand for every depth:
 
     * Shift.  _rp_key reads the depth only through `p == 1 and
-      depth == 0` and `elif depth`; inside a code the depth does not
+      depth == 0` and `if depth`; inside a code the depth does not
       change, and a step moves it by at most one, at the step's end
       only.  _staged_steps reads it only through `depth + step >= 0`
       and `depth or p >= 2`.  No test tells two depths >= 1 apart, so
@@ -414,14 +395,14 @@ def verify_intersection_identity(p: int, n: int,
     the two sides read the depth, which the tests pin on both; a report
     compares the counts, so it sees a fault at any depth.
 
-    Only a report counts the words: each walk carries a count per class,
-    at O(n^2 * p), and the two counts must agree at every length too.
-    Each walk lists each word once, so a count is a number of distinct
-    words: on the intersection side a word has one parent and one last
-    letter, and its parent one class; on the staged side the tokens parse
-    one way, and a stop a b^j is an open code, which no whole encoding
-    ends in.  Only a failed check with a report lists the words, to name
-    each difference.
+    Only a report counts the words: one walk, _classes, spells each side
+    from its own steps at every depth, carrying a count per class, at
+    O(n^2 * p), and the two counts must agree at every length too.  The
+    walk spells each word once, since its pieces are fixed: on the
+    intersection side by where its class lies outside a code, on the
+    staged side by the prefix code of the tokens, with a stop a b^j an
+    open code that no whole encoding ends in.  Only a failed check with a
+    report lists the words, to name each difference.
     """
     if p < 1:
         raise ValueError("block order must be >= 1")
@@ -431,15 +412,18 @@ def verify_intersection_identity(p: int, n: int,
     report = None if report_path is None else open(report_path, "w",
                                                    encoding="ascii")
     try:
-        steps = _staged_steps(p, n)
+        sides = (_rp_steps(p, n), _staged_steps(p, n))
+        ok = True
         # depths 0 and 1 stand for every depth up to n (see above)
-        ok = all(_rp_steps(p, d, n - d)
-                 == {(s, child) for s, child in steps(d) if len(s) <= n - d}
-                 for d in range(min(n, 1) + 1))
+        for d in range(min(n, 1) + 1):
+            rp, staged = [{(s, child) for s, child in steps(d)
+                           if len(s) <= n - d} for steps in sides]
+            ok = ok and rp == staged
         if report is not None:
             sizes = [[sum(classes.values())
-                      for classes in walk(p, n, 1, lambda count, s: count)]
-                     for walk in (_rp_classes, _staged_classes)]
+                      for classes in _classes(steps, n, 1,
+                                              lambda count, s: count)]
+                     for steps in sides]
             ok = ok and sizes[0] == sizes[1]
             lines = [
                 f"intersection identity check: block order p={p}, "
@@ -449,8 +433,8 @@ def verify_intersection_identity(p: int, n: int,
                 f"encoded staged side: {sum(sizes[1])} words",
             ]
             if not ok:
-                intersection = set(_viable_rp_prefixes(p, n))
-                image = set(_encoded_staged_prefixes(p, n))
+                intersection, image = (set(_listed(steps, n))
+                                       for steps in sides)
                 lines += [f"only in intersection side: {w or '(empty)'}"
                           for w in sorted(intersection - image)]
                 lines += [f"only in encoded staged side: {w or '(empty)'}"

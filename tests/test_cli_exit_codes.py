@@ -38,15 +38,15 @@ def test_report_path_that_is_a_directory_exits_2(capsys, tmp_path):
 
 def test_unwritable_report_path_fails_before_the_walks(capsys, tmp_path,
                                                        monkeypatch):
-    def walk(p, n, start, grow):
+    def walk(steps, n, start, grow):
         raise AssertionError("walked before opening the report")
 
-    def search(p, depth, room):
-        raise AssertionError("searched steps before opening the report")
+    def side(p, n):
+        raise AssertionError("made steps before opening the report")
 
-    monkeypatch.setattr(omega, "_rp_classes", walk)
-    monkeypatch.setattr(omega, "_staged_classes", walk)
-    monkeypatch.setattr(omega, "_rp_steps", search)
+    monkeypatch.setattr(omega, "_classes", walk)
+    monkeypatch.setattr(omega, "_rp_steps", side)
+    monkeypatch.setattr(omega, "_staged_steps", side)
     missing = tmp_path / "missing" / "report.txt"
     code, out, err = run(capsys, "verify-rp", "--p", "1", "--n", "14",
                          "--report", str(missing))

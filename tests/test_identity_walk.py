@@ -3,9 +3,11 @@
 The staged side: every prefix of length up to n of encode(s), over the
 staged words s with indices up to p on which stage one never starves.
 It is built here from oracles.staged_words, oracles.single_pass and an
-encoder of this file's own, with no budget and no pruning; the walk in
-the omega module stops at length n and yields the mid-code stops from
-the class of the parent of the code they cut.
+encoder of this file's own, with no budget and no pruning.
+
+In the omega module each side is nothing but its one-token steps, and
+one class walk spells both, stopping at length n.  The literal sets
+below are built without that walk, so they check each side on its own.
 
 The intersection side: every coded word up to length n that
 oracles.decode_by_hand decodes, with no index above p, whose dangling
@@ -13,6 +15,7 @@ code completes to some index-j eraser, j <= p, that stage one does not
 starve on.
 """
 
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -23,8 +26,8 @@ import pytest
 from eraserlang import (Eraser, MalformedInput, omega,
                         verify_intersection_identity)
 from eraserlang.coding import _OUT
-from eraserlang.omega import (_encoded_staged_prefixes, _rp_classes,
-                              _staged_classes, _viable_rp_prefixes)
+from eraserlang.omega import (_classes, _encoded_staged_prefixes, _rp_steps,
+                              _staged_steps, _viable_rp_prefixes)
 
 from oracles import decode_by_hand, single_pass, staged_words
 
@@ -95,49 +98,52 @@ def test_walk_sizes_are_pinned(p, n, size):
         assert len(walked) == len(set(walked)) == size, (walk, p, n)
 
 
-def sizes(walk, p, n):
-    """The number of words of each length up to n, as a class walk
-    counts them."""
+def sizes(steps, n):
+    """The number of words of each length up to n, as the class walk
+    counts them from a side's steps."""
     return [sum(classes.values())
-            for classes in walk(p, n, 1, lambda count, s: count)]
+            for classes in _classes(steps, n, 1, lambda count, s: count)]
 
 
-def losing(walk, lost):
-    """The class walk with the word lost from its class, from its count
-    as from its listing: the check reads the counts, the report the
-    words."""
-    def lossy(p, n, start, grow):
-        key = omega._rp_key(p, (_OUT, 0), lost)
-        for length, classes in enumerate(walk(p, n, start, grow)):
-            if length == len(lost):
-                kept = classes[key]
-                kept = (kept - 1 if isinstance(kept, int)
-                        else [w for w in kept if w != lost])
-                classes = {**classes, key: kept}
-            yield classes
-    return lossy
+def dropping(side, lost):
+    """The side's steps without the step lost at depth 1: the walk then
+    loses every word that takes it, from its counts as from its
+    listing."""
+    def dropped(p, n):
+        steps = side(p, n)
+        return lambda depth: [step for step in steps(depth)
+                              if depth != 1 or step != lost]
+    return dropped
+
+
+# the index-1 eraser that closes a code at depth 1, down to depth 0
+ERASER_AT_DEPTH_1 = ("aba", (_OUT, 0))
 
 
 def test_a_missing_word_fails_the_check(monkeypatch, tmp_path):
-    monkeypatch.setattr(omega, "_rp_classes",
-                        losing(omega._rp_classes, "0aba"))
+    monkeypatch.setattr(omega, "_rp_steps",
+                        dropping(omega._rp_steps, ERASER_AT_DEPTH_1))
     report = tmp_path / "report.txt"
     assert not verify_intersection_identity(1, 4, report_path=str(report))
     lines = report.read_text().splitlines()
     assert lines[1] == "result: FAIL"
-    assert "only in encoded staged side: 0aba" in lines
+    assert lines[2] == ("intersection side: 51 words, "
+                        "encoded staged side: 53 words")
+    assert lines[3:] == ["only in encoded staged side: 0aba",
+                         "only in encoded staged side: 1aba"]
 
 
 def test_a_missing_image_word_fails_the_check(monkeypatch, tmp_path):
-    monkeypatch.setattr(omega, "_staged_classes",
-                        losing(omega._staged_classes, "0aba"))
+    monkeypatch.setattr(omega, "_staged_steps",
+                        dropping(omega._staged_steps, ERASER_AT_DEPTH_1))
     report = tmp_path / "report.txt"
     assert not verify_intersection_identity(1, 4, report_path=str(report))
     lines = report.read_text().splitlines()
     assert lines[1] == "result: FAIL"
     assert lines[2] == ("intersection side: 53 words, "
-                        "encoded staged side: 52 words")
-    assert lines[3:] == ["only in intersection side: 0aba"]
+                        "encoded staged side: 51 words")
+    assert lines[3:] == ["only in intersection side: 0aba",
+                         "only in intersection side: 1aba"]
 
 
 def test_an_image_word_outside_the_intersection_fails_the_check(
@@ -152,8 +158,8 @@ def test_an_image_word_outside_the_intersection_fails_the_check(
                               for s, child in steps(depth)]
 
     monkeypatch.setattr(omega, "_staged_steps", misspelt)
-    assert (sizes(omega._rp_classes, 1, 4)
-            == sizes(omega._staged_classes, 1, 4))
+    assert (sizes(omega._rp_steps(1, 4), 4)
+            == sizes(omega._staged_steps(1, 4), 4))
     assert not verify_intersection_identity(1, 4)
 
 
@@ -173,10 +179,10 @@ def test_larger_identity_case_is_fast():
 @pytest.mark.parametrize("p", range(1, 6))
 def test_counts_are_the_sizes_of_the_listings(p):
     for n in range(12):
-        for classes, listing in ((_rp_classes, _viable_rp_prefixes),
-                                 (_staged_classes, _encoded_staged_prefixes)):
+        for side, listing in ((_rp_steps, _viable_rp_prefixes),
+                              (_staged_steps, _encoded_staged_prefixes)):
             listed = Counter(map(len, listing(p, n)))
-            assert (sizes(classes, p, n)
+            assert (sizes(side(p, n), n)
                     == [listed[length] for length in range(n + 1)]), (p, n)
 
 
@@ -199,6 +205,17 @@ def test_pass_report_is_pinned(p, n, size, tmp_path):
         f"encoded staged side: {size} words\n").encode("ascii")
 
 
+def test_a_report_at_length_120_is_fast(tmp_path):
+    report = tmp_path / "report.txt"
+    t0 = time.perf_counter()
+    assert verify_intersection_identity(5, 120, report_path=str(report))
+    assert time.perf_counter() - t0 < 1.0
+    lines = report.read_text().splitlines()
+    assert lines[1] == "result: PASS"
+    assert re.fullmatch(r"intersection side: (\d+) words, "
+                        r"encoded staged side: \1 words", lines[2])
+
+
 def test_memory_stays_flat_in_the_length():
     tracemalloc.start()
     try:
@@ -218,10 +235,10 @@ def test_an_index_one_eraser_closing_at_depth_0_fails_the_check(
         monkeypatch):
     rp_key = omega._rp_key
 
-    def lenient(p, key, letters):
-        if key == (1, 0) and letters == "a":
+    def lenient(p, key, ch):
+        if key == (1, 0) and ch == "a":
             return (_OUT, 0)
-        return rp_key(p, key, letters)
+        return rp_key(p, key, ch)
 
     monkeypatch.setattr(omega, "_rp_key", lenient)
     assert not verify_intersection_identity(2, 6)
@@ -230,10 +247,10 @@ def test_an_index_one_eraser_closing_at_depth_0_fails_the_check(
 def test_a_code_open_at_depth_0_under_p_1_fails_the_check(monkeypatch):
     rp_key = omega._rp_key
 
-    def lenient(p, key, letters):
-        if key == (_OUT, 0) and letters == "a":
+    def lenient(p, key, ch):
+        if key == (_OUT, 0) and ch == "a":
             return (0, 0)
-        return rp_key(p, key, letters)
+        return rp_key(p, key, ch)
 
     monkeypatch.setattr(omega, "_rp_key", lenient)
     assert not verify_intersection_identity(1, 6)
@@ -307,14 +324,12 @@ def shift_breaks(p, max_depth=40):
     (_OUT, d >= 1) are not the depth-1 steps raised by d - 1."""
     broken = []
     for room in range(p + 4):
-        rp_one = omega._rp_steps(p, 1, room)
-        staged = omega._staged_steps(p, room)
-        staged_one = staged(1)
-        for d in range(1, max_depth + 1):
-            if omega._rp_steps(p, d, room) != raised(rp_one, d - 1):
-                broken.append(("intersection", d, room))
-            if set(staged(d)) != raised(staged_one, d - 1):
-                broken.append(("staged", d, room))
+        for name, side in (("intersection", omega._rp_steps),
+                           ("staged", omega._staged_steps)):
+            steps = side(p, room)
+            one = set(steps(1))
+            broken += [(name, d, room) for d in range(1, max_depth + 1)
+                       if set(steps(d)) != raised(one, d - 1)]
     return broken
 
 
@@ -326,10 +341,13 @@ def test_deeper_steps_are_the_depth_1_steps_shifted(p):
 def all_depths_verdict(p, n):
     """The reference verdict, which assumes no shift: the steps compared
     at every depth d from 0 to n, each within room n - d."""
-    steps = omega._staged_steps(p, n)
-    return all(omega._rp_steps(p, d, n - d)
-               == {(s, child) for s, child in steps(d) if len(s) <= n - d}
-               for d in range(n + 1))
+    sides = (omega._rp_steps(p, n), omega._staged_steps(p, n))
+    for d in range(n + 1):
+        rp, staged = ({(s, child) for s, child in steps(d) if len(s) <= n - d}
+                      for steps in sides)
+        if rp != staged:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -343,10 +361,10 @@ def test_a_fault_at_depth_3_breaks_the_shift(monkeypatch, tmp_path):
     and 1 stay equal, so the pin and a report's counts must catch it."""
     rp_key = omega._rp_key
 
-    def strict(p, key, letters):
-        if key == (1, 3) and letters == "a":
+    def strict(p, key, ch):
+        if key == (1, 3) and ch == "a":
             return None
-        return rp_key(p, key, letters)
+        return rp_key(p, key, ch)
 
     monkeypatch.setattr(omega, "_rp_key", strict)
     assert not all_depths_verdict(2, 9)
