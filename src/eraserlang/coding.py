@@ -38,7 +38,7 @@ _SCAN = re.compile(f"(?:{_TOKEN.pattern})*(ab*)?")
 def encode(word: StagedWord) -> str:
     parts = []
     for sym in word:
-        if isinstance(sym, Eraser):
+        if type(sym) is Eraser:
             parts.append(ALPHA + BETA * sym.index + ALPHA)
         else:
             parts.append(str(sym))
@@ -164,4 +164,4 @@ def in_block_stream(x: UPWord, p: int) -> bool:
     except MalformedInput:
         return False
     return all(sym.index <= p for sym in y.prefix + y.period
-               if isinstance(sym, Eraser))
+               if type(sym) is Eraser)

@@ -99,7 +99,7 @@ class EvalOutcome(namedtuple("EvalOutcome", "status word up certificate",
 
 def _kinds(word: Iterable) -> list[int]:
     """The eraser index of each symbol, 0 for a letter."""
-    return [sym.index if isinstance(sym, Eraser) else 0 for sym in word]
+    return [sym.index if type(sym) is Eraser else 0 for sym in word]
 
 
 def _pipeline(kinds: list[int]) -> list[int] | None:
@@ -146,7 +146,7 @@ def _vanishing_top(word: Sequence) -> int | None:
     top = depth = 0
     starved = False
     for sym in word:
-        if not isinstance(sym, Eraser):
+        if type(sym) is not Eraser:
             depth += 1
             continue
         if sym.index != top:
@@ -172,7 +172,7 @@ def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
     pushed = []
     dig = 0
     for sym in word:
-        if isinstance(sym, Eraser) and sym.index == active:
+        if type(sym) is Eraser and sym.index == active:
             if pushed:
                 pushed.pop()
             else:
@@ -183,7 +183,7 @@ def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
 
 
 def _eraser_indices(word: Iterable) -> set[int]:
-    return {sym.index for sym in word if isinstance(sym, Eraser)}
+    return {sym.index for sym in word if type(sym) is Eraser}
 
 
 def _single_kind(symbols: Iterable) -> int:
@@ -288,7 +288,7 @@ def certificate_holds(x: UPWord, cert: LoopCertificate) -> bool:
         if n == cert.warmup_periods + 1:
             start = low = len(stack)
         for sym in x.period if n else x.prefix:
-            if isinstance(sym, Eraser) and sym.index == active:
+            if type(sym) is Eraser and sym.index == active:
                 if not stack:
                     return False
                 stack.pop()

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache, lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, count, takewhile
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
@@ -101,8 +101,24 @@ def factorize(word: str) -> Factorization:
 
 def is_factor(word: str) -> bool:
     """Membership in the factor language (pad 0)^* (pad 1): a stream
-    whose only cut is the end."""
-    return len(word) > 0 and factorize(word).cuts == (0, len(word))
+    whose only cut is the end.
+
+    The run of ``factorize`` without its cuts: no eraser starves and the
+    survivors spell 0^k 1.  Only letters survive, since each eraser is
+    spent at its own stage, and the final 1 always does, with nothing
+    after it to pop it.
+    """
+    if word[-1:] != "1":  # so the word cannot end inside a code
+        return False
+    scan = _tokenize(word)
+    if scan is None:
+        return False
+    tokens = scan[0]
+    alive = _pipeline(_token_kinds(tokens))
+    if alive is None:
+        return False
+    survivors = "".join(map(tokens.__getitem__, alive))
+    return survivors == "0" * (len(alive) - 1) + "1"
 
 
 # ------------------------------------------------------ viable prefixes
@@ -479,18 +495,18 @@ def nth_factor(i: int) -> str:
     """The i-th factor in length order, ties broken by 0 < 1 < a < b."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    for n in count(1):  # every row holds 0^(n-1) 1, so the walk ends
-        row = _factor_row(n)
-        if i < len(row):
-            return row[i]
-        i -= len(row)
+    # the first index of each row, up to that of the row holding i; every
+    # row holds 0^(n-1) 1, so the starts grow past i
+    starts = list(takewhile(i.__ge__, accumulate(
+        map(len, map(_factor_row, count(1))), initial=0)))
+    return _factor_row(len(starts))[i - starts[-1]]
 
 
 def factor_index(word: str) -> int | None:
     """Position of a factor in the enumeration, None for non-members."""
     if not is_factor(word):
         return None
-    shorter = sum(len(_factor_row(n)) for n in range(1, len(word)))
+    shorter = sum(map(len, map(_factor_row, range(1, len(word)))))
     return shorter + bisect_left(_factor_row(len(word)), word)
 
 

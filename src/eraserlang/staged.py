@@ -46,7 +46,7 @@ def vanishes_by_grammar(word: StagedWord) -> bool:
     height = 0
     starved = False
     for sym in word:
-        if not isinstance(sym, Eraser):
+        if type(sym) is not Eraser:
             height += 1
         elif sym.index != 1:
             raise MalformedInput(
@@ -130,9 +130,9 @@ def _rank_key(top: int) -> Callable[[StagedWord], str | list]:
     """
     if top < sys.maxunicode:
         return lambda word: "".join([
-            chr(sym.index + 1) if isinstance(sym, Eraser) else chr(sym)
+            chr(sym.index + 1) if type(sym) is Eraser else chr(sym)
             for sym in word])
-    return lambda word: [sym.index + 1 if isinstance(sym, Eraser) else sym
+    return lambda word: [sym.index + 1 if type(sym) is Eraser else sym
                          for sym in word]
 
 

@@ -49,9 +49,16 @@ class Eraser:
     Immutable, and equal only to an eraser of the same index.  Not a
     tuple: erasers sit inside staged words, which are tuples, so
     ``Eraser(1)`` must differ from ``(1,)``.
+
+    Final: equality already requires the exact class, and the loops over
+    staged words tell an eraser from a letter by ``type(sym) is Eraser``,
+    which a subclass would fail.
     """
 
     __slots__ = ("index",)
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("Eraser cannot be subclassed")
 
     def __init__(self, index: int):
         if index < 1:
@@ -125,7 +132,7 @@ def parse_staged(text: str) -> StagedWord:
 def format_staged(word: StagedWord) -> str:
     parts = []
     for sym in word:
-        if isinstance(sym, Eraser):
+        if type(sym) is Eraser:
             parts.append(f"E{sym.index}")
         else:
             parts.append(str(sym))

@@ -77,6 +77,15 @@ def test_is_factor_examples():
     assert not is_factor("0")
 
 
+def test_is_factor_matches_factorize_on_every_short_word():
+    # is_factor reads the pipeline run without the cuts: every coded
+    # word up to 8 letters, 87,381 of them
+    words = ["".join(t) for n in range(9) for t in product("01ab", repeat=n)]
+    assert len(words) == 87381
+    for w in words:
+        assert is_factor(w) == (factorize(w).cuts == (0, len(w))), w
+
+
 def test_factorize_examples():
     out = factorize("11")
     assert out.count == 1 and out.cuts == (0, 1, 2)
@@ -259,6 +268,14 @@ def test_factor_index_inverts_nth_factor():
         assert factor_index(nth_factor(i)) == i
     assert factor_index("11") is None
     assert factor_index("") is None
+
+
+def test_factor_index_is_the_position_among_filtered_factors():
+    position = {w: i for i, w in enumerate(factors_by_filter(7))}
+    for n in range(8):
+        for t in product("01ab", repeat=n):
+            w = "".join(t)
+            assert factor_index(w) == position.get(w), w
 
 
 def test_row_sizes_are_pinned():

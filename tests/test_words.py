@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -8,6 +10,7 @@ from eraserlang import (
     Eraser,
     MalformedInput,
     UPWord,
+    encode,
     format_staged,
     format_up,
     parse_binary,
@@ -17,6 +20,7 @@ from eraserlang import (
     up_equal,
     up_normalize,
     up_prefix,
+    vanishes,
 )
 
 from oracles import primitive_root, take
@@ -66,6 +70,19 @@ def test_parse_staged_rejects_bad_tokens():
 def test_eraser_index_must_be_positive():
     with pytest.raises(MalformedInput):
         Eraser(0)
+
+
+def test_eraser_is_final_and_copies_stay_erasers():
+    # the loops over staged words test type(sym) is Eraser
+    with pytest.raises(TypeError):
+        class Sub(Eraser):
+            pass
+    word = parse_staged("0 E2 1 E1 E1 0 E2 E3")
+    for twin in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word)):
+        assert twin == word
+        assert [vanishes(twin, k) for k in range(1, 4)] == [
+            vanishes(word, k) for k in range(1, 4)]
+        assert encode(twin) == encode(word) == "0abba1abaaba0abbaabbba"
 
 
 def test_format_staged_round_trip():
