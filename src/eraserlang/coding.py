@@ -9,9 +9,13 @@ reaches its end, the open code being the dangling part; otherwise the
 tokenizer answers None, and the character after the match is where the
 text goes wrong.  Only ``decode`` turns that into a MalformedInput, so
 a coded query that merely rejects (``factorize``, ``viable_prefix``,
-``vanishes_coded``) builds and raises nothing.  Only this module parses
-coded text; the coded queries take tokens and kinds from it and build
-no symbols, except ``vanishes_coded``, which needs the symbols anyway.
+``vanishes_coded``) builds and raises nothing.  Only this module splits
+coded text into tokens; the coded queries take tokens and kinds from it
+and build no symbols, except ``vanishes_coded``, which needs the symbols
+anyway.  The one other reader of coded text is the order-p block
+scanner of the intersection identity check in ``omega``, which reads a
+letter at a time: that check compares it against encoded tokens, so it
+shares no rule with them.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -29,7 +33,6 @@ from collections import namedtuple
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
                     up_normalize, up_prefix)
 
-_OUT = -1  # scanner state: outside any code; n >= 0 means inside with n betas
 _TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
 # the longest run of whole tokens, then the open code after it
 _SCAN = re.compile(f"(?:{_TOKEN.pattern})*(ab*)?")
@@ -108,21 +111,6 @@ def decode(text: str) -> DecodeResult:
 def encode_up(x: UPWord) -> UPWord:
     """Image of an ultimately periodic staged word, normalized."""
     return up_normalize(UPWord(encode(x.prefix), encode(x.period)))
-
-
-def _scan_step(state: int, ch: str, p: int) -> int | None:
-    """Advance the order-p block scanner by one character; None rejects."""
-    if state == _OUT:
-        if ch == "0" or ch == "1":
-            return _OUT
-        if ch == ALPHA:
-            return 0
-        return None  # beta outside a code
-    if ch == BETA:
-        return state + 1 if state + 1 <= p else None
-    if ch == ALPHA:
-        return _OUT if state >= 1 else None  # empty codes are not blocks
-    return None  # letter inside a code
 
 
 def decode_up(x: UPWord) -> UPWord:

@@ -26,14 +26,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import accumulate, count, takewhile
 
 from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
 from .eraser import _pipeline, _vanishing_top, staged_erase_up
-from .coding import (_OUT, _scan_step, _token_kinds, _token_symbols,
-                     _tokenize, decode_up, encode)
+from .coding import (_token_kinds, _token_symbols, _tokenize, decode_up,
+                     encode)
 from .staged import _vanishing_rows
 
 
@@ -78,7 +78,10 @@ def factorize(word: str) -> Factorization:
     its left, so the stretches between survivors are pads.  The word is
     a stream iff no eraser starves, every survivor is a letter and the
     last symbol is a surviving 1; the cuts fall after each surviving 1,
-    so there is never more than one decomposition.
+    so there is never more than one decomposition.  Only the first of
+    these needs a test: each eraser is spent at its own stage, popping
+    or starving, so only letters survive, and the final 1, checked
+    first, has nothing after it to pop it.
     """
     if not word:
         return Factorization(1, (0,))
@@ -88,11 +91,8 @@ def factorize(word: str) -> Factorization:
     if scan is None:
         return _NO_PARSE
     tokens = scan[0]
-    kinds = _token_kinds(tokens)
-    alive = _pipeline(kinds)
-    # no starved eraser, only letters survive, and the last one does
-    if (alive is None or any(kinds[i] for i in alive)
-            or alive[-1:] != [len(kinds) - 1]):
+    alive = _pipeline(_token_kinds(tokens))
+    if alive is None:  # an eraser starved
         return _NO_PARSE
     ends = list(accumulate(map(len, tokens)))
     return Factorization(1, (0,) + tuple(ends[i] for i in alive
@@ -217,11 +217,12 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # The two sides share no rule, so each checks the other.  Each side is a
 # prefix-closed set in which a word's continuations depend on a small
 # class alone, never on its letters: the scanner state and the stage-one
-# depth.  So a side is nothing but its step function: steps(d) lists each
-# string that takes a class (_OUT, d) outside a code to the next class
-# outside one (a whole token) or stops inside a code, with the class it
-# lands on.  The intersection side searches its steps over its rules,
-# _rp_key; the staged side reads them off the encoded tokens.
+# depth.  So a side is nothing but its step function: steps(p, room, d)
+# lists each string of at most room letters that takes a class (_OUT, d)
+# outside a code to the next class outside one (a whole token) or stops
+# inside a code, with the class it lands on.  The intersection side
+# searches its steps over its rules, _rp_key; the staged side reads them
+# off the encoded tokens.
 #
 # One walk, _classes, spells either side from its steps.  It goes length
 # by length over the classes of words, asks once per class outside a
@@ -236,11 +237,31 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # The steps at depths 0 and 1 decide the check: there both sides must
 # offer the same strings, landing on the same classes.  A deeper class
 # takes the depth-1 steps with its landing depths shifted, on both sides,
-# so the two sides are then equal at every length (see
-# verify_intersection_identity).  The walk only serves a report.
+# so the two sides are then equal at every length; and past a few b's a
+# code takes the steps of the code one b shorter, so a small (p, n)
+# stands for any (see verify_intersection_identity).  The walk only
+# serves a report.
+
+_OUT = -1  # scanner state: outside any code; n >= 0 means inside with n betas
+
 
 def _merge(classes: dict, key: tuple, value) -> None:
     classes[key] = classes[key] + value if key in classes else value
+
+
+def _scan_step(state: int, ch: str, p: int) -> int | None:
+    """Advance the order-p block scanner by one character; None rejects."""
+    if state == _OUT:
+        if ch == "0" or ch == "1":
+            return _OUT
+        if ch == "a":
+            return 0
+        return None  # beta outside a code
+    if ch == "b":
+        return state + 1 if state + 1 <= p else None
+    if ch == "a":
+        return _OUT if state >= 1 else None  # empty codes are not blocks
+    return None  # letter inside a code
 
 
 def _rp_key(p: int, key: tuple, ch: str) -> tuple | None:
@@ -266,56 +287,53 @@ def _rp_key(p: int, key: tuple, ch: str) -> tuple | None:
     return None
 
 
-def _rp_steps(p: int, n: int):
-    """The steps of the intersection side: steps(d) lists each string of
-    at most n letters that takes class (_OUT, d) out of a code again or
-    stops inside one, with the class _rp_key gives it.
+def _rp_steps(p: int, room: int, depth: int) -> list:
+    """The steps of the intersection side: each string of at most room
+    letters that takes class (_OUT, depth) out of a code again or stops
+    inside one, with the class _rp_key gives it.
 
     A search over _rp_key, one letter at a time: a string that lands
     inside a code is a stop and grows on, one that lands outside is a
     token and ends its branch.
     """
-    def steps(depth: int) -> list:
-        found = []
-        frontier = [("", (_OUT, depth))]
-        while frontier:
-            s, key = frontier.pop()
-            if len(s) == n:
-                continue
+    found = []
+    frontier = [("", (_OUT, depth))]
+    for s, key in frontier:  # the stops appended below are searched too
+        if len(s) < room:
             for ch in "01ab":
                 child = _rp_key(p, key, ch)
                 if child is not None:
-                    found.append((s + ch, child))
+                    step = (s + ch, child)
+                    found.append(step)
                     if child[0] != _OUT:
-                        frontier.append((s + ch, child))
-        return found
-    return steps
+                        frontier.append(step)
+    return found
 
 
-def _staged_steps(p: int, n: int):
-    """The steps of the staged side: steps(d) lists each string that
-    extends a class of whole encodings at stage-one depth d, with the
-    class it leads to.
+def _staged_steps(p: int, room: int, depth: int) -> list:
+    """The steps of the staged side: each string of at most room letters
+    that extends a class of whole encodings at stage-one depth depth,
+    with the class it leads to.
 
     A staged viable prefix extends by a letter or by any eraser but an
     index-1 one at depth 0; a whole encoding is in class (_OUT, depth).
-    A staged word coded longer than n adds no whole encoding up to n but
-    a stop inside its last code, an open code a b^j in class (j, depth);
-    it needs an eraser that may follow, which depth 0 allows only from
-    index 2.
+    A staged word coded longer than the room adds no whole encoding but
+    a stop inside its last code, an open code a b^j in class (j, depth):
+    a alone, or the code of Eraser(j) before its closing a.  It needs an
+    eraser that may follow, which depth 0 allows only from index 2.
     """
-    codes = [encode((Eraser(j),)) for j in range(1, min(p, n) + 1)]
-    # each token with its change of depth: only an index-1 eraser pops
-    tokens = [("0", 1), ("1", 1)] + [(code, 1 if j > 1 else -1)
-                                     for j, code in enumerate(codes, 1)]
-    # the proper nonempty prefixes of the longest code hold every stop
-    stops = [codes[-1][:i] for i in range(1, len(codes[-1]))] if codes else []
-
-    def steps(depth: int) -> list:
-        return ([(token, (_OUT, depth + step)) for token, step in tokens
-                 if depth + step >= 0]
-                + [(stop, (len(stop) - 1, depth)) for stop in stops
-                   if depth or p >= 2])
+    landing = (_OUT, depth + 1)
+    steps = [("0", landing), ("1", landing)] if room else []
+    stops = depth or p >= 2  # an open code needs an eraser to follow
+    if stops and room:
+        steps.append(("a", (0, depth)))
+    for j in range(1, min(p, room - 1) + 1):
+        code = encode((Eraser(j),))
+        if stops:
+            steps.append((code[:-1], (j, depth)))
+        step = 1 if j > 1 else -1  # only an index-1 eraser pops
+        if depth + step >= 0 and len(code) <= room:
+            steps.append((code, (_OUT, depth + step)))
     return steps
 
 
@@ -323,9 +341,10 @@ def _classes(steps, n: int, start, grow) -> Iterator[dict]:
     """The words of length up to n that a side's steps spell from the
     empty word, one dict of classes per length.
 
-    The steps of a class depend on its class alone, so the walk lists
-    the classes in length order, each step placing its children
-    len(step) letters further on.  A stop ends its word.
+    steps(depth) lists the steps from class (_OUT, depth).  They depend
+    on the class alone, so the walk lists the classes in length order,
+    each step placing its children len(step) letters further on.  A stop
+    ends its word.
     """
     steps = cache(steps)  # one search per depth, for this walk only
     levels: list = [{(_OUT, 0): start}] + [{} for _ in range(n)]
@@ -345,17 +364,6 @@ def _listed(steps, n: int) -> Iterator[str]:
     """Every word a side's steps spell, the walk carrying the words."""
     levels = _classes(steps, n, [""], lambda words, s: [w + s for w in words])
     return (w for classes in levels for ws in classes.values() for w in ws)
-
-
-def _viable_rp_prefixes(p: int, n: int) -> Iterator[str]:
-    """Every viable prefix of an order-p block stream, up to length n."""
-    return _listed(_rp_steps(p, n), n)
-
-
-def _encoded_staged_prefixes(p: int, n: int) -> Iterator[str]:
-    """Every prefix of length up to n of the encoding of a staged viable
-    prefix over indices up to p, each once."""
-    return _listed(_staged_steps(p, n), n)
 
 
 def verify_intersection_identity(p: int, n: int,
@@ -405,11 +413,43 @@ def verify_intersection_identity(p: int, n: int,
       d = 1 within room n - 1 are equal steps at every d >= 1 within
       room n - d.
 
-    The check costs O(min(p, n)^2) letters: two depths, about
-    2 min(p, n) steps each, of at most min(p, n) + 2 letters.  Once
-    n > p + 2 the cost no longer grows with n.  The shift rests on how
-    the two sides read the depth, which the tests pin on both; a report
-    compares the counts, so it sees a fault at any depth.
+    The b count of a step, its code index, stands for every larger one
+    in the same way.  A step is a letter, a stop a b^i landing in state
+    i, or a code a b^j a landing outside, and each side reads p, n and
+    the b count only through a few tests: the scanner through
+    `state + 1 <= p` and `state >= 1`, _rp_key through `state != 1` and
+    `p == 1`, the search through the room; _staged_steps through
+    `j > 1`, `p >= 2`, min(p, room - 1) and the room against a code's
+    length j + 2.  Each of three moves keeps the outcome of every test
+    at depths 0 and 1, so it leaves both sides' steps, and the verdict,
+    as they were:
+
+    * p past the room.  The search adds a b only to a stop shorter than
+      the room, so the scanner never compares p with more than n - 1,
+      and min(p, room - 1) is room - 1 once p >= n.  So p may drop to
+      max(n, 2), which keeps `p == 1` and `p >= 2`.
+    * n past the codes.  No step has more than p b's, so none has more
+      than p + 2 letters, and rooms n and n - 1 of at least p + 2 cut
+      none.  So n may drop to p + 3.
+    * Index shift, p >= 3 and n >= 6.  A step with at most two b's has
+      at most four letters, within the rooms at (p, n) and at
+      (p - 1, n - 1), and its scanner tests 1 <= p and 2 <= p hold at
+      p - 1 >= 2 too: it is a step at both or at neither.  A step with
+      j >= 3 b's is a step at (p, n) exactly when the same step with
+      j - 1 b's is one at (p - 1, n - 1), a stop landing one state
+      lower and a code on the same class: `state >= 1`, `state != 1`
+      and `j > 1` hold for both counts, while `state + 1 <= p`, the
+      length and the room all move by one.  So on each side the steps
+      at (p, n) are the same one-to-one image of those at
+      (p - 1, n - 1), and the sides agree at one exactly when they agree
+      at the other.
+
+    So the verdict at (p, n) is the verdict at p' = min(p, max(n, 2)),
+    n' = min(n, p' + 3), both lowered by max(0, min(p' - 2, n' - 5)):
+    a (p', n') within (5, 5), at O(1) whatever p and n.  The moves rest
+    on how the two sides read the code index, which the tests pin on
+    both, as they pin the shift; a report compares the counts at the
+    full (p, n), so it sees a fault at any depth and any index.
 
     Only a report counts the words: one walk, _classes, spells each side
     from its own steps at every depth, carrying a count per class, at
@@ -428,14 +468,20 @@ def verify_intersection_identity(p: int, n: int,
     report = None if report_path is None else open(report_path, "w",
                                                    encoding="ascii")
     try:
-        sides = (_rp_steps(p, n), _staged_steps(p, n))
+        # the same verdict at a (q, m) within (5, 5) (see above)
+        q = min(p, max(n, 2))
+        m = min(n, q + 3)
+        if q > 2 and m > 5:  # the index shift, down to q = 2 or m = 5
+            shift = min(q - 2, m - 5)
+            q, m = q - shift, m - shift
+        # depths 0 and 1 stand for every depth up to m (see above)
         ok = True
-        # depths 0 and 1 stand for every depth up to n (see above)
-        for d in range(min(n, 1) + 1):
-            rp, staged = [{(s, child) for s, child in steps(d)
-                           if len(s) <= n - d} for steps in sides]
-            ok = ok and rp == staged
+        for d in range(min(m, 1) + 1):
+            ok = ok and (set(_rp_steps(q, m - d, d))
+                         == set(_staged_steps(q, m - d, d)))
         if report is not None:
+            sides = [partial(steps, p, n) for steps in (_rp_steps,
+                                                        _staged_steps)]
             sizes = [[sum(classes.values())
                       for classes in _classes(steps, n, 1,
                                               lambda count, s: count)]

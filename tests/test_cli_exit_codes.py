@@ -41,7 +41,7 @@ def test_unwritable_report_path_fails_before_the_walks(capsys, tmp_path,
     def walk(steps, n, start, grow):
         raise AssertionError("walked before opening the report")
 
-    def side(p, n):
+    def side(p, room, depth):
         raise AssertionError("made steps before opening the report")
 
     monkeypatch.setattr(omega, "_classes", walk)

@@ -19,17 +19,28 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
 
 from eraserlang import (Eraser, MalformedInput, omega,
                         verify_intersection_identity)
-from eraserlang.coding import _OUT
-from eraserlang.omega import (_classes, _encoded_staged_prefixes, _rp_steps,
-                              _staged_steps, _viable_rp_prefixes)
+from eraserlang.omega import (_OUT, _classes, _listed, _rp_steps,
+                              _staged_steps)
 
 from oracles import decode_by_hand, single_pass, staged_words
+
+
+def viable_rp_prefixes(p, n):
+    """Every viable prefix of an order-p block stream, up to length n."""
+    return _listed(partial(_rp_steps, p, n), n)
+
+
+def encoded_staged_prefixes(p, n):
+    """Every prefix of length up to n of the encoding of a staged viable
+    prefix over indices up to p, each once."""
+    return _listed(partial(_staged_steps, p, n), n)
 
 
 def literal_encode(word):
@@ -53,7 +64,7 @@ def literal_image(p, max_n):
 def test_staged_side_is_the_literal_image(p, max_n):
     image = literal_image(p, max_n)
     for n in range(max_n + 1):
-        walked = list(_encoded_staged_prefixes(p, n))
+        walked = list(encoded_staged_prefixes(p, n))
         assert len(walked) == len(set(walked)), (p, n)
         assert set(walked) == {w for w in image if len(w) <= n}, (p, n)
 
@@ -85,7 +96,7 @@ def literal_intersection(p, max_n):
 def test_intersection_side_is_the_literal_set(p, max_n):
     literal = literal_intersection(p, max_n)
     for n in range(max_n + 1):
-        walked = list(_viable_rp_prefixes(p, n))
+        walked = list(viable_rp_prefixes(p, n))
         assert len(walked) == len(set(walked)), (p, n)
         assert set(walked) == {w for w in literal if len(w) <= n}, (p, n)
 
@@ -93,7 +104,7 @@ def test_intersection_side_is_the_literal_set(p, max_n):
 @pytest.mark.parametrize("p, n, size", [(1, 10, 6245), (2, 9, 3583),
                                         (3, 12, 47380), (2, 13, 96204)])
 def test_walk_sizes_are_pinned(p, n, size):
-    for walk in (_viable_rp_prefixes, _encoded_staged_prefixes):
+    for walk in (viable_rp_prefixes, encoded_staged_prefixes):
         walked = list(walk(p, n))
         assert len(walked) == len(set(walked)) == size, (walk, p, n)
 
@@ -109,10 +120,9 @@ def dropping(side, lost):
     """The side's steps without the step lost at depth 1: the walk then
     loses every word that takes it, from its counts as from its
     listing."""
-    def dropped(p, n):
-        steps = side(p, n)
-        return lambda depth: [step for step in steps(depth)
-                              if depth != 1 or step != lost]
+    def dropped(p, room, depth):
+        return [step for step in side(p, room, depth)
+                if depth != 1 or step != lost]
     return dropped
 
 
@@ -152,20 +162,19 @@ def test_an_image_word_outside_the_intersection_fails_the_check(
     only the step check can see it."""
     staged_steps = omega._staged_steps
 
-    def misspelt(p, n):
-        steps = staged_steps(p, n)
-        return lambda depth: [("b" if s == "1" else s, child)
-                              for s, child in steps(depth)]
+    def misspelt(p, room, depth):
+        return [("b" if s == "1" else s, child)
+                for s, child in staged_steps(p, room, depth)]
 
     monkeypatch.setattr(omega, "_staged_steps", misspelt)
-    assert (sizes(omega._rp_steps(1, 4), 4)
-            == sizes(omega._staged_steps(1, 4), 4))
+    assert (sizes(partial(omega._rp_steps, 1, 4), 4)
+            == sizes(partial(omega._staged_steps, 1, 4), 4))
     assert not verify_intersection_identity(1, 4)
 
 
 def test_staged_side_ignores_indices_that_cannot_fit():
-    assert (set(_encoded_staged_prefixes(10 ** 9, 7))
-            == set(_encoded_staged_prefixes(7, 7)))
+    assert (set(encoded_staged_prefixes(10 ** 9, 7))
+            == set(encoded_staged_prefixes(7, 7)))
 
 
 def test_larger_identity_case_is_fast():
@@ -179,10 +188,10 @@ def test_larger_identity_case_is_fast():
 @pytest.mark.parametrize("p", range(1, 6))
 def test_counts_are_the_sizes_of_the_listings(p):
     for n in range(12):
-        for side, listing in ((_rp_steps, _viable_rp_prefixes),
-                              (_staged_steps, _encoded_staged_prefixes)):
+        for side, listing in ((_rp_steps, viable_rp_prefixes),
+                              (_staged_steps, encoded_staged_prefixes)):
             listed = Counter(map(len, listing(p, n)))
-            assert (sizes(side(p, n), n)
+            assert (sizes(partial(side, p, n), n)
                     == [listed[length] for length in range(n + 1)]), (p, n)
 
 
@@ -259,10 +268,9 @@ def test_a_code_open_at_depth_0_under_p_1_fails_the_check(monkeypatch):
 def test_a_staged_stop_at_depth_0_under_p_1_fails_the_check(monkeypatch):
     staged_steps = omega._staged_steps
 
-    def stopping(p, n):
-        steps = staged_steps(p, n)
-        return lambda depth: steps(depth) + ([("a", (0, 0))] if depth == 0
-                                             else [])
+    def stopping(p, room, depth):
+        return staged_steps(p, room, depth) + ([("a", (0, 0))] if depth == 0
+                                               else [])
 
     monkeypatch.setattr(omega, "_staged_steps", stopping)
     assert not verify_intersection_identity(1, 6)
@@ -271,10 +279,9 @@ def test_a_staged_stop_at_depth_0_under_p_1_fails_the_check(monkeypatch):
 def test_a_staged_token_one_depth_off_fails_the_check(monkeypatch):
     staged_steps = omega._staged_steps
 
-    def shifted(p, n):
-        steps = staged_steps(p, n)
-        return lambda depth: [(s, (state, d + 1) if s == "0" else (state, d))
-                              for s, (state, d) in steps(depth)]
+    def shifted(p, room, depth):
+        return [(s, (state, d + 1) if s == "0" else (state, d))
+                for s, (state, d) in staged_steps(p, room, depth)]
 
     monkeypatch.setattr(omega, "_staged_steps", shifted)
     assert not verify_intersection_identity(2, 6)
@@ -314,6 +321,12 @@ def test_memory_stays_flat_at_two_thousand_letters():
 # sides, so a rule that tells two depths >= 1 apart fails here even
 # where the verdict cannot see it.
 
+def sides():
+    """Each side's step function, as the omega module holds it now."""
+    return (("intersection", omega._rp_steps),
+            ("staged", omega._staged_steps))
+
+
 def raised(steps, by):
     """The steps with every landing depth raised by `by`."""
     return {(s, (state, depth + by)) for s, (state, depth) in steps}
@@ -324,12 +337,10 @@ def shift_breaks(p, max_depth=40):
     (_OUT, d >= 1) are not the depth-1 steps raised by d - 1."""
     broken = []
     for room in range(p + 4):
-        for name, side in (("intersection", omega._rp_steps),
-                           ("staged", omega._staged_steps)):
-            steps = side(p, room)
-            one = set(steps(1))
+        for name, side in sides():
+            one = set(side(p, room, 1))
             broken += [(name, d, room) for d in range(1, max_depth + 1)
-                       if set(steps(d)) != raised(one, d - 1)]
+                       if set(side(p, room, d)) != raised(one, d - 1)]
     return broken
 
 
@@ -339,21 +350,47 @@ def test_deeper_steps_are_the_depth_1_steps_shifted(p):
 
 
 def all_depths_verdict(p, n):
-    """The reference verdict, which assumes no shift: the steps compared
-    at every depth d from 0 to n, each within room n - d."""
-    sides = (omega._rp_steps(p, n), omega._staged_steps(p, n))
-    for d in range(n + 1):
-        rp, staged = ({(s, child) for s, child in steps(d) if len(s) <= n - d}
-                      for steps in sides)
-        if rp != staged:
-            return False
-    return True
+    """The reference verdict, which assumes neither shift nor clamp: the
+    steps at the full (p, n), compared at every depth d from 0 to n, each
+    within room n - d."""
+    return all(set(omega._rp_steps(p, n - d, d))
+               == set(omega._staged_steps(p, n - d, d)) for d in range(n + 1))
 
 
-@pytest.mark.parametrize("p", range(1, 6))
+@pytest.mark.parametrize("p", range(1, 9))
 def test_verdict_agrees_with_every_depth(p):
     for n in range(16):
         assert verify_intersection_identity(p, n) == all_depths_verdict(p, n)
+
+
+# staged sides that each break one rule for a whole family of steps, the
+# same way at every depth >= 1 or at depth 0, and at every code index or
+# at the top one, p: the clamped verdict must see each where the
+# reference does
+UNIFORM_FAULTS = {
+    "index-1 eraser": lambda p, d, s: d >= 1 and s == "aba",
+    "top code": lambda p, d, s: d == 0 and s == "a" + "b" * p + "a",
+    "top stop": lambda p, d, s: d >= 1 and s == "a" + "b" * p,
+    "bare stop": lambda p, d, s: d == 0 and s == "a",
+    "long codes": lambda p, d, s: d >= 1 and len(s) >= 4 and s[-1] == "a",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNIFORM_FAULTS))
+def test_the_clamp_keeps_a_uniform_fault_in_sight(monkeypatch, fault):
+    lost = UNIFORM_FAULTS[fault]
+    staged_steps = omega._staged_steps
+
+    def faulty(p, room, depth):
+        return [(s, child) for s, child in staged_steps(p, room, depth)
+                if not lost(p, depth, s)]
+
+    monkeypatch.setattr(omega, "_staged_steps", faulty)
+    reference = {(p, n): all_depths_verdict(p, n)
+                 for p in range(1, 9) for n in range(13)}
+    assert not all(reference.values())
+    assert all(verify_intersection_identity(p, n) == verdict
+               for (p, n), verdict in reference.items())
 
 
 def test_a_fault_at_depth_3_breaks_the_shift(monkeypatch, tmp_path):
@@ -386,3 +423,135 @@ def test_a_billion_letters_pass_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+@pytest.mark.parametrize("p, n", [(10 ** 9, 10 ** 9), (10 ** 5, 10 ** 5),
+                                  (2 * 10 ** 4, 2 * 10 ** 4)])
+def test_a_huge_block_order_and_length_pass_at_once(p, n):
+    t0 = time.perf_counter()
+    assert verify_intersection_identity(p, n)
+    assert time.perf_counter() - t0 < 0.1
+    tracemalloc.start()
+    try:
+        assert verify_intersection_identity(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+# ---------------- a few b's stand for every code index (index shift)
+#
+# The verdict runs at a (p, n) clamped within (5, 5).  That rests on how
+# each side reads a step's b count: past two b's only against p and the
+# room, so the step of code j + 1 is the step of code j with one more b,
+# landing on the same class (a stop one state further on).  The pins
+# below check it on both sides, the index pin far past the clamped
+# (p, n) and the clamp pin for each move the verdict makes, so a rule
+# that tells two large codes apart fails here even where the verdict
+# cannot see it.
+
+def grown(step):
+    """The step with one more b in its code, a stop landing one state
+    further on."""
+    s, (state, depth) = step
+    return "ab" + s[1:], (state if state == _OUT else state + 1, depth)
+
+
+def index_breaks(p, room, depths=range(3)):
+    """Each (side, depth, j), 2 <= j < min(p, room - 2), at which the
+    steps with j + 1 b's are not the steps with j b's grown."""
+    broken = []
+    for name, side in sides():
+        for d in depths:
+            by_count = {}
+            for step in side(p, room, d):
+                by_count.setdefault(step[0].count("b"), set()).add(step)
+            broken += [(name, d, j) for j in range(2, min(p, room - 2))
+                       if set(map(grown, by_count[j])) != by_count[j + 1]]
+    return broken
+
+
+def test_each_code_past_two_bs_takes_the_steps_of_the_one_before():
+    assert index_breaks(1102, 1104) == []
+
+
+def test_an_intersection_rule_at_code_1000_breaks_the_index_pin(
+        monkeypatch):
+    """The code a b^1000 a refused: the clamped verdict never meets it,
+    so the pin must."""
+    rp_key = omega._rp_key
+
+    def strict(p, key, ch):
+        if key[0] == 1000 and ch == "a":
+            return None
+        return rp_key(p, key, ch)
+
+    monkeypatch.setattr(omega, "_rp_key", strict)
+    assert verify_intersection_identity(10 ** 9, 10 ** 9)
+    assert set(index_breaks(1102, 1104)) == {
+        ("intersection", d, j) for d in range(3) for j in (999, 1000)}
+
+
+def test_a_staged_rule_at_code_1000_breaks_the_index_pin(monkeypatch):
+    """The code a b^1000 a read as an index-1 eraser: the clamped
+    verdict never meets it, so the pin must."""
+    staged_steps = omega._staged_steps
+    code = "a" + "b" * 1000 + "a"
+
+    def popping(p, room, depth):
+        return [(s, (_OUT, depth - 1) if s == code else child)
+                for s, child in staged_steps(p, room, depth)]
+
+    monkeypatch.setattr(omega, "_staged_steps", popping)
+    assert verify_intersection_identity(10 ** 9, 10 ** 9)
+    assert set(index_breaks(1102, 1104)) == {
+        ("staged", d, j) for d in range(3) for j in (999, 1000)}
+
+
+def shifted_index(steps):
+    """The steps at (p, n) that the index shift makes of the steps at
+    (p - 1, n - 1): those with at most two b's as they are, and those
+    with two or more grown by one b."""
+    return ({step for step in steps if step[0].count("b") <= 2}
+            | {grown(step) for step in steps if step[0].count("b") >= 2})
+
+
+def clamp_breaks(max_p=12, max_room=16, depths=range(4)):
+    """Each (side, move, p, room, depth) at which a move of the clamp
+    changes a side's steps: p past the room, the room past the codes, or
+    p and the room lowered by one together."""
+    broken = []
+    for name, side in sides():
+        for p, room, d in product(range(1, max_p + 1), range(max_room + 1),
+                                  depths):
+            steps = set(side(p, room, d))
+            if p >= max(room, 2) and steps != set(side(p + 1, room, d)):
+                broken.append((name, "p", p, room, d))
+            if room >= p + 2 and steps != set(side(p, room + 1, d)):
+                broken.append((name, "room", p, room, d))
+            if (p >= 3 and room >= 5
+                    and steps != shifted_index(side(p - 1, room - 1, d))):
+                broken.append((name, "index", p, room, d))
+    return broken
+
+
+def test_each_move_of_the_clamp_keeps_both_sides():
+    assert clamp_breaks() == []
+
+
+def test_a_rule_at_one_block_order_breaks_the_clamp_pin(monkeypatch):
+    """The code a b^2 a refused under p = 7 alone: the verdict clamps
+    p = 7 away, so the pin must see it."""
+    rp_key = omega._rp_key
+
+    def strict(p, key, ch):
+        if p == 7 and key[0] == 2 and ch == "a":
+            return None
+        return rp_key(p, key, ch)
+
+    monkeypatch.setattr(omega, "_rp_key", strict)
+    assert all(verify_intersection_identity(7, n) for n in range(20))
+    assert not all_depths_verdict(7, 6)
+    assert {(name, move) for name, move, *_ in clamp_breaks()} == {
+        ("intersection", "p"), ("intersection", "index")}
