@@ -171,12 +171,10 @@ def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
     n = len(w)
     if not viable_prefix(w):
         return LassoVerdict("no")
-    cuts_upto: dict[int, tuple[int, ...] | None] = {}
+    cuts_upto = cache(lambda p2: factorize(w[:p2]).cuts)
     for p1 in range(ulen, n + 1):
         for p2 in range(p1 + plen, n + 1, plen):
-            if p2 not in cuts_upto:
-                cuts_upto[p2] = factorize(w[:p2]).cuts
-            cuts = cuts_upto[p2]
+            cuts = cuts_upto(p2)
             if cuts is not None and p1 in cuts:
                 return LassoVerdict("yes", loop_start=p1,
                                     loop_length=p2 - p1, factor_cuts=cuts)
@@ -194,9 +192,9 @@ def has_infinitely_many_ones(x: UPWord) -> bool:
 
 def in_erasure_ladder(x: UPWord, p: int) -> bool:
     """Does the p-stage pipeline send x to a word with infinitely many 1s?"""
-    if p < 1:
-        raise ValueError("stage count must be >= 1")
-    out = staged_erase_up(x, p)  # indices above p are malformed here
+    # staged_erase_up refuses p < 1 (ValueError, in _check_stages) and
+    # indices above p (MalformedInput)
+    out = staged_erase_up(x, p)
     return out.is_infinite and has_infinitely_many_ones(out.up)
 
 
@@ -366,6 +364,22 @@ def _listed(steps, n: int) -> Iterator[str]:
     return (w for classes in levels for ws in classes.values() for w in ws)
 
 
+def _steps_agree(p: int, n: int) -> bool:
+    """The verdict: both sides take the same steps at depths 0 and 1, at
+    the clamped (q, m) within (5, 5).  The proof that this decides the
+    identity is on verify_intersection_identity.
+    """
+    q = min(p, max(n, 2))
+    m = min(n, q + 3)
+    if q > 2 and m > 5:  # the index shift, down to q = 2 or m = 5
+        shift = min(q - 2, m - 5)
+        q, m = q - shift, m - shift
+    for d in range(min(m, 1) + 1):  # depths 0 and 1 stand for all
+        if set(_rp_steps(q, m - d, d)) != set(_staged_steps(q, m - d, d)):
+            return False
+    return True
+
+
 def verify_intersection_identity(p: int, n: int,
                                  report_path: str | None = None) -> bool:
     """Compare, for every length up to n, prefixes of the intersection
@@ -464,47 +478,29 @@ def verify_intersection_identity(p: int, n: int,
         raise ValueError("block order must be >= 1")
     if n < 0:
         raise ValueError("length bound must be >= 0")
+    if report_path is None:
+        return _steps_agree(p, n)
     # opened before any walk, so an unwritable path fails at once
-    report = None if report_path is None else open(report_path, "w",
-                                                   encoding="ascii")
-    try:
-        # the same verdict at a (q, m) within (5, 5) (see above)
-        q = min(p, max(n, 2))
-        m = min(n, q + 3)
-        if q > 2 and m > 5:  # the index shift, down to q = 2 or m = 5
-            shift = min(q - 2, m - 5)
-            q, m = q - shift, m - shift
-        # depths 0 and 1 stand for every depth up to m (see above)
-        ok = True
-        for d in range(min(m, 1) + 1):
-            ok = ok and (set(_rp_steps(q, m - d, d))
-                         == set(_staged_steps(q, m - d, d)))
-        if report is not None:
-            sides = [partial(steps, p, n) for steps in (_rp_steps,
-                                                        _staged_steps)]
-            sizes = [[sum(classes.values())
-                      for classes in _classes(steps, n, 1,
-                                              lambda count, s: count)]
-                     for steps in sides]
-            ok = ok and sizes[0] == sizes[1]
-            lines = [
-                f"intersection identity check: block order p={p}, "
-                f"lengths up to n={n}",
-                f"result: {'PASS' if ok else 'FAIL'}",
-                f"intersection side: {sum(sizes[0])} words, "
-                f"encoded staged side: {sum(sizes[1])} words",
-            ]
-            if not ok:
-                intersection, image = (set(_listed(steps, n))
-                                       for steps in sides)
-                lines += [f"only in intersection side: {w or '(empty)'}"
-                          for w in sorted(intersection - image)]
-                lines += [f"only in encoded staged side: {w or '(empty)'}"
-                          for w in sorted(image - intersection)]
-            report.write("\n".join(lines) + "\n")
-    finally:
-        if report is not None:
-            report.close()
+    with open(report_path, "w", encoding="ascii") as report:
+        sides = [partial(steps, p, n) for steps in (_rp_steps, _staged_steps)]
+        sizes = [[sum(classes.values())
+                  for classes in _classes(steps, n, 1, lambda count, s: count)]
+                 for steps in sides]
+        ok = _steps_agree(p, n) and sizes[0] == sizes[1]
+        lines = [
+            f"intersection identity check: block order p={p}, "
+            f"lengths up to n={n}",
+            f"result: {'PASS' if ok else 'FAIL'}",
+            f"intersection side: {sum(sizes[0])} words, "
+            f"encoded staged side: {sum(sizes[1])} words",
+        ]
+        if not ok:
+            intersection, image = (set(_listed(steps, n)) for steps in sides)
+            lines += [f"only in intersection side: {w or '(empty)'}"
+                      for w in sorted(intersection - image)]
+            lines += [f"only in encoded staged side: {w or '(empty)'}"
+                      for w in sorted(image - intersection)]
+        report.write("\n".join(lines) + "\n")
     return ok
 
 
@@ -574,16 +570,9 @@ def pairing_consistent(sigma: str, nu: str) -> bool:
     """
     parse_binary(sigma)
     parse_coded(nu)
-    counts = []
-    zeros = 0
-    for ch in sigma:
-        if ch == "0":
-            zeros += 1
-        else:
-            counts.append(zeros)
-            zeros = 0
-    expected = "".join(nth_factor(k) for k in counts)
+    # the k of each closed block 0^k 1; the last piece is the open block
+    expected = "".join(nth_factor(len(block))
+                       for block in sigma.split("1")[:-1])
     common = min(len(nu), len(expected))
-    if nu[:common] != expected[:common]:
-        return False
-    return viable_prefix(nu[len(expected):])
+    return (nu[:common] == expected[:common]
+            and viable_prefix(nu[len(expected):]))

@@ -425,6 +425,15 @@ def test_a_billion_letters_pass_at_once():
     assert peak < 10 ** 6
 
 
+def test_a_verdict_without_a_report_makes_no_count_walk(monkeypatch):
+    def walk(steps, n, start, grow):
+        raise AssertionError("counted words without a report")
+
+    monkeypatch.setattr(omega, "_classes", walk)
+    assert verify_intersection_identity(5, 400)
+    assert verify_intersection_identity(10 ** 9, 10 ** 9)
+
+
 @pytest.mark.parametrize("p, n", [(10 ** 9, 10 ** 9), (10 ** 5, 10 ** 5),
                                   (2 * 10 ** 4, 2 * 10 ** 4)])
 def test_a_huge_block_order_and_length_pass_at_once(p, n):

@@ -387,6 +387,20 @@ def test_pairing_full_streams_and_corruptions():
     assert not pairing_consistent(sigma, corrupted)
 
 
+def test_pairing_table_is_pinned():
+    # every sigma of at most 5 binary letters against every nu of at most
+    # 4 coded letters, one line per verdict
+    def strings(alphabet, max_len):
+        return ("".join(t) for n in range(max_len + 1)
+                for t in product(alphabet, repeat=n))
+
+    lines = "".join(f"{sigma},{nu},{int(pairing_consistent(sigma, nu))}\n"
+                    for sigma in strings("01", 5)
+                    for nu in strings("01ab", 4))
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "e5dab7034e8cb83e0a5ac3b41145a5f9002857caeba8e40b6ebd91257a96893c")
+
+
 # ------------------------------------------------------- erasure ladders
 
 def test_in_erasure_ladder_examples():
@@ -397,7 +411,7 @@ def test_in_erasure_ladder_examples():
 
 
 def test_in_erasure_ladder_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stage count must be >= 1"):
         in_erasure_ladder(UPWord((), (1,)), 0)
     with pytest.raises(MalformedInput):
         in_erasure_ladder(UPWord((), (E2,)), 1)
