@@ -5,7 +5,7 @@ docstring or blank space; a token that spans lines (a long string)
 counts every line it covers.  Prints the count of each module and of
 src/eraserlang as a whole:
 
-    python3 scripts/code_lines.py [DIR]
+    python3 scripts/code_lines.py
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else _PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(_PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name}: {count}")
-    print(f"{root.name}: {total}")
+    print(f"{_PACKAGE.name}: {total}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -36,9 +36,10 @@ def test_counts_code_but_not_docstrings_comments_or_blanks():
     assert code_lines.code_lines(FIXTURE) == 8
 
 
-def test_prints_each_module_and_the_total(tmp_path, capsys):
+def test_prints_each_module_and_the_total(tmp_path, capsys, monkeypatch):
     (tmp_path / "a.py").write_text(FIXTURE)
     (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
-    assert code_lines.main([str(tmp_path)]) == 0
+    monkeypatch.setattr(code_lines, "_PACKAGE", tmp_path)
+    assert code_lines.main() == 0
     assert capsys.readouterr().out == (
         f"a.py: 8\nb.py: 1\n{tmp_path.name}: 9\n")
