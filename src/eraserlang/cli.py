@@ -17,10 +17,14 @@ A call also imports only the module of its command: this module takes
 nothing but ``words`` from the package at import and finds every other
 function by its public name on the package (``_lib``), whose lazy
 namespace loads the one module that defines it, so ``erase`` never
-loads ``staged``, ``coding`` or ``omega``.  The true/false questions
-about one word share the run ``_answer`` builds, and the evaluations
-the one ``_evaluate`` builds; the other commands print their own
-answers.
+loads ``staged``, ``coding`` or ``omega``.
+
+One builder, ``_run``, makes the run of every command but ``theta``
+and ``verify-rp``: it reads the word with the row's parser (or the
+``--up`` one, calling ``<name>_up``), calls the library function with
+the row's flags after the word and hands the answer to the row's
+printer, such as ``_bool_line`` or ``_outcome_line``.  A run returns
+None on success, or the exit status of a failure.
 """
 
 from __future__ import annotations
@@ -62,87 +66,49 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _bool_line(value: bool) -> int:
+def _bool_line(value: bool) -> None:
     print("true" if value else "false")
-    return 0
 
 
-def _outcome_line(out) -> int:
-    """Print an EvalOutcome on one line."""
+def _outcome_line(out) -> None:
+    """Print an EvalOutcome on one line; its word is always staged."""
     if out.is_undefined:
         print("undefined")
     elif out.is_finite:
-        print(f"finite: {format_word(out.word)}")
+        print(f"finite: {format_staged(out.word)}")
     else:
         print(f"infinite: {format_up(out.up)}")
-    return 0
 
 
-def _answer(name: str, parse, *flags: str):
-    """The run that prints the verdict of the library function name on
-    the word parse reads, with the values of flags after the word."""
-    def run(args) -> int:
-        return _bool_line(_lib(name)(
-            parse(args.word), *[getattr(args, flag) for flag in flags]))
-    return run
+def _word_lines(words) -> None:
+    """Print a listing of coded or staged words, one to a line."""
+    for word in words:
+        print(format_word(word))
 
 
-def _evaluate(name: str, *flags: str):
-    """The run that prints the outcome of the library function name on
-    a staged word, or of name_up on a prefix|period one under --up."""
-    def run(args) -> int:
-        evaluate = _lib(f"{name}_up" if args.up else name)
-        parse = _parse_up_staged if args.up else parse_staged
-        return _outcome_line(evaluate(
-            parse(args.word), *[getattr(args, flag) for flag in flags]))
-    return run
-
-
-def _run_enumerate_lk(args) -> int:
-    for word in _lib("vanishing_words")(args.k, args.max_len):
-        print(format_staged(word))
-    return 0
-
-
-def _run_enumerate_hv(args) -> int:
-    for word in _lib("factor_words")(args.max_len):
-        print(word)
-    return 0
-
-
-def _run_min_k(args) -> int:
-    k = _lib("min_stages")(parse_staged(args.word))
+def _min_k_line(k: int | None) -> None:
     print("none" if k is None else k)
-    return 0
 
 
-def _run_encode(args) -> int:
-    if args.up:
-        print(format_up(_lib("encode_up")(_parse_up_staged(args.word))))
-    else:
-        print(_lib("encode")(parse_staged(args.word)))
-    return 0
+def _encoded_line(code) -> None:
+    """Print a coded word, or a coded prefix|period under --up."""
+    print(code if isinstance(code, str) else format_up(code))
 
 
-def _run_decode(args) -> int:
-    res = _lib("decode")(parse_coded(args.word))
+def _decoded_lines(res) -> None:
     print(format_staged(res.symbols))
     if res.dangling:
         print(f"dangling: {res.dangling}")
-    return 0
 
 
-def _run_factor(args) -> int:
-    fac = _lib("factorize")(parse_coded(args.word))
+def _factor_line(fac) -> None:
     if fac.count == 1:
         print(f"count=1 cuts={list(fac.cuts[1:-1])}")
     else:
         print(f"count={fac.count}")
-    return 0
 
 
-def _run_lasso(args) -> int:
-    verdict = _lib("lasso_member")(parse_up(args.word), args.bound)
+def _lasso_line(verdict) -> None:
     if verdict.status == "yes":
         print(f"yes loop_start={verdict.loop_start} "
               f"loop_length={verdict.loop_length} "
@@ -151,34 +117,40 @@ def _run_lasso(args) -> int:
         print("no")
     else:
         print(f"unknown bound={verdict.bound}")
-    return 0
 
 
-def _run_theta(args) -> int:
+def _run(name: str, show, parse=None, *flags: str, up=None):
+    """The run that shows the answer of the library function name on
+    the word parse reads, with the values of flags after the word; a
+    command without parse has no word.  Under --up it answers with
+    name_up on the word up reads."""
+    def run(args) -> None:
+        fn, read = (f"{name}_up", up) if up and args.up else (name, parse)
+        word = [read(args.word)] if read else []
+        show(_lib(fn)(*word, *[getattr(args, flag) for flag in flags]))
+    return run
+
+
+def _run_theta(args) -> int | None:
     nth_factor = _lib("nth_factor")
     if args.upto is not None:
         for i in range(args.upto + 1):
             print(f"{i} {nth_factor(i)}")
-        return 0
-    if args.index is None:
+    elif args.index is None:
         print("theta needs an index or --upto", file=sys.stderr)
         return 2
-    print(nth_factor(args.index))
-    return 0
+    else:
+        print(nth_factor(args.index))
 
 
-def _run_dcheck(args) -> int:
-    return _bool_line(_lib("pairing_consistent")(args.sigma, args.nu))
-
-
-def _run_verify_rp(args) -> int:
+def _run_verify_rp(args) -> int | None:
     try:
         ok = _lib("verify_intersection_identity")(args.p, args.n, args.report)
     except OSError as exc:
         print(f"cannot write report {args.report}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
-    return _bool_line(ok)
+    _bool_line(ok)
 
 
 def _arg(*names: str, **options) -> tuple:
@@ -194,30 +166,33 @@ _MAX_LEN = _arg("--max-len", type=_nonnegative, default=8)
 # name -> (help, arguments, run), or (help, table of sets) for a command
 # with sets of its own; the order is the order of the help listings
 _MEMBER_SETS = {
-    "l1-grammar": ("one-stage language, by grammar derivation",
-                   [_WORD], _answer("vanishes_by_grammar", parse_staged)),
-    "lk": ("k-stage erasure language, by evaluation",
-           [_WORD, _K], _answer("vanishes", parse_staged, "k")),
-    "lscript": ("coded words vanishing at their own top stage",
-                [_WORD], _answer("vanishes_coded", parse_coded)),
+    "l1-grammar": ("one-stage language, by grammar derivation", [_WORD],
+                   _run("vanishes_by_grammar", _bool_line, parse_staged)),
+    "lk": ("k-stage erasure language, by evaluation", [_WORD, _K],
+           _run("vanishes", _bool_line, parse_staged, "k")),
+    "lscript": ("coded words vanishing at their own top stage", [_WORD],
+                _run("vanishes_coded", _bool_line, parse_coded)),
     "hv": ("the factor language (pad 0)*(pad 1)", [_WORD],
-           _answer("is_factor", parse_coded)),
-    "rp": ("order-p block streams (ultimately periodic)",
-           [_WORD, _P], _answer("in_block_stream", parse_up, "p")),
+           _run("is_factor", _bool_line, parse_coded)),
+    "rp": ("order-p block streams (ultimately periodic)", [_WORD, _P],
+           _run("in_block_stream", _bool_line, parse_up, "p")),
     "r": ("binary words with infinitely many ones", [_WORD],
-          _answer("has_infinitely_many_ones", _parse_up_binary)),
+          _run("has_infinitely_many_ones", _bool_line, _parse_up_binary)),
     "r-approx": ("staged words whose p-stage erasure has infinitely many "
                  "ones", [_WORD, _P],
-                 _answer("in_erasure_ladder", _parse_up_staged, "p")),
+                 _run("in_erasure_ladder", _bool_line, _parse_up_staged,
+                      "p")),
     "encoded-r-approx": ("coded twin of r-approx inside the order-p block "
                          "streams", [_WORD, _P],
-                         _answer("in_coded_erasure_ladder", parse_up, "p")),
+                         _run("in_coded_erasure_ladder", _bool_line,
+                              parse_up, "p")),
 }
 
 _ENUMERATE_SETS = {
     "lk": ("k-stage erasure language members", [_K, _MAX_LEN],
-           _run_enumerate_lk),
-    "hv": ("factor language members", [_MAX_LEN], _run_enumerate_hv),
+           _run("vanishing_words", _word_lines, None, "k", "max_len")),
+    "hv": ("factor language members", [_MAX_LEN],
+           _run("factor_words", _word_lines, None, "max_len")),
 }
 
 _COMMANDS = {
@@ -225,25 +200,30 @@ _COMMANDS = {
               [_arg("word", help="staged word, or prefix|period with --up"),
                _arg("--up", action="store_true",
                     help="treat the word as ultimately periodic")],
-              _evaluate("erase")),
+              _run("erase", _outcome_line, parse_staged,
+                   up=_parse_up_staged)),
     "staged-erase": ("multi-stage eraser pipeline",
                      [_WORD, _arg("--k", type=_positive, required=True,
                                   help="number of stages"), _UP],
-                     _evaluate("staged_erase", "k")),
+                     _run("staged_erase", _outcome_line, parse_staged, "k",
+                          up=_parse_up_staged)),
     "member": ("membership queries", _MEMBER_SETS),
     "enumerate": ("exhaustive listings", _ENUMERATE_SETS),
-    "min-k": ("least stage count that erases the word away",
-              [_WORD], _run_min_k),
-    "encode": ("staged word to coded letters", [_WORD, _UP], _run_encode),
-    "decode": ("coded letters to staged word", [_WORD], _run_decode),
+    "min-k": ("least stage count that erases the word away", [_WORD],
+              _run("min_stages", _min_k_line, parse_staged)),
+    "encode": ("staged word to coded letters", [_WORD, _UP],
+               _run("encode", _encoded_line, parse_staged,
+                    up=_parse_up_staged)),
+    "decode": ("coded letters to staged word", [_WORD],
+               _run("decode", _decoded_lines, parse_coded)),
     "factor": ("count factor decompositions, with cuts when unique",
-               [_WORD], _run_factor),
-    "viable": ("is the coded word a prefix of the omega power",
-               [_WORD], _answer("viable_prefix", parse_coded)),
+               [_WORD], _run("factorize", _factor_line, parse_coded)),
+    "viable": ("is the coded word a prefix of the omega power", [_WORD],
+               _run("viable_prefix", _bool_line, parse_coded)),
     "lasso": ("bounded omega power membership for prefix|period",
               [_WORD, _arg("--bound", type=_positive, default=8,
                            help="period copies to explore (default 8)")],
-              _run_lasso),
+              _run("lasso_member", _lasso_line, parse_up, "bound")),
     "theta": ("factor enumeration: index to word",
               [_arg("index", nargs="?", type=_nonnegative),
                _arg("--upto", type=_nonnegative,
@@ -252,7 +232,7 @@ _COMMANDS = {
     "dcheck": ("index-stream pairing consistency for (sigma, nu)",
                [_arg("sigma", help="binary block word 0^n1 0^n1 ..."),
                 _arg("nu", help="coded factor stream prefix")],
-               _run_dcheck),
+               _run("pairing_consistent", _bool_line, None, "sigma", "nu")),
     "verify-rp": ("intersection identity check at order p, lengths up to n",
                   [_P, _arg("--n", type=_nonnegative, required=True),
                    _arg("--report", metavar="PATH",
@@ -301,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
     try:
-        return args.run(args)
+        return args.run(args) or 0
     except MalformedInput as exc:
         print(exc, file=sys.stderr)
         return 2

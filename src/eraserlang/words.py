@@ -28,8 +28,6 @@ from collections import namedtuple
 
 ALPHA = "a"
 BETA = "b"
-CODED_CHARS = "01ab"
-BINARY_CHARS = "01"
 
 
 class MalformedInput(ValueError):
@@ -91,24 +89,28 @@ StagedWord = tuple
 AnyWord = str | tuple
 
 _STAGED_TOKEN = re.compile(r"E[1-9][0-9]*$")
+# a character outside the coded, or the binary, alphabet
+_NOT_CODED = re.compile("[^01ab]")
+_NOT_BINARY = re.compile("[^01]")
 
 
-def _check_chars(text: str, chars: str) -> str:
-    """Return text if every character is one of chars."""
-    for i, ch in enumerate(text):
-        if ch not in chars:
-            raise MalformedInput(
-                f"unexpected character {ch!r} at position {i + 1}", i + 1)
+def _check_chars(text: str, outside: re.Pattern) -> str:
+    """Return text if outside, a one-character class, matches nowhere in
+    it; the 1-based position of a bad character is its match's end."""
+    bad = outside.search(text)
+    if bad:
+        raise MalformedInput(f"unexpected character {bad.group()!r} at "
+                             f"position {bad.end()}", bad.end())
     return text
 
 
 def parse_coded(text: str) -> str:
     """Validate a coded word; returns the word itself."""
-    return _check_chars(text, CODED_CHARS)
+    return _check_chars(text, _NOT_CODED)
 
 
 def parse_binary(text: str) -> str:
-    return _check_chars(text, BINARY_CHARS)
+    return _check_chars(text, _NOT_BINARY)
 
 
 def parse_staged(text: str) -> StagedWord:
@@ -161,19 +163,28 @@ class UPWord(namedtuple("UPWord", "prefix period")):
         return super().__new__(cls, prefix, period)
 
 
+_PARSERS = {"coded": parse_coded, "staged": parse_staged,
+            "binary": parse_binary}
+
+
 def parse_up(text: str, kind: str = "coded") -> UPWord:
-    """Parse ``<prefix>|<period>``; kind is coded, staged or binary."""
+    """Parse ``<prefix>|<period>``; kind is coded, staged or binary.
+
+    Positions count from the start of the whole text, so a malformed
+    period is reported past the prefix and the separator."""
     if text.count("|") != 1:
         raise MalformedInput("expected exactly one '|' separator")
-    left, right = text.split("|")
-    if kind == "staged":
-        prefix, period = parse_staged(left), parse_staged(right)
-    elif kind == "binary":
-        prefix, period = parse_binary(left), parse_binary(right)
-    elif kind == "coded":
-        prefix, period = parse_coded(left), parse_coded(right)
-    else:
+    parse = _PARSERS.get(kind)
+    if parse is None:
         raise ValueError(f"unknown word kind {kind!r}")
+    left, right = text.split("|")
+    prefix = parse(left)
+    try:
+        period = parse(right)
+    except MalformedInput as exc:  # its message ends with the position
+        at = exc.position + len(left) + 1
+        raise MalformedInput(f"{str(exc).rpartition(' ')[0]} {at}",
+                             at) from None
     if len(period) == 0:
         raise MalformedInput("period must be nonempty", len(left) + 2)
     return UPWord(prefix, period)

@@ -82,6 +82,9 @@ def test_member_rejects_malformed_words(capsys):
     assert code == 2 and "position 2" in err
     code, out, err = run(capsys, "member", "r-approx", "|E2", "--p", "1")
     assert code == 2 and err != ""
+    # a malformed period is placed in the whole prefix|period text
+    assert run(capsys, "member", "r", "0|2") == (
+        2, "", "unexpected character '2' at position 3\n")
 
 
 # ------------------------------------------------------------- listings
@@ -143,3 +146,22 @@ def test_verify_rp(capsys, tmp_path):
                          "--report", str(path))
     assert code == 0 and out == "true\n"
     assert "result: PASS" in path.read_text()
+
+
+# -------------------------------------------------------------- printers
+
+@pytest.mark.parametrize("argv, expected", [
+    (("enumerate", "hv", "--max-len", "0"), ""),
+    (("enumerate", "lk", "--k", "1", "--max-len", "0"), "\n"),
+    (("factor", ""), "count=1 cuts=[]\n"),
+    (("min-k", ""), "1\n"),
+    (("encode", "--up", "0 E1|1"), "0aba|1\n"),
+    (("erase", "--up", "1 1|E1 0"), "finite: 1\n"),
+    (("erase", "--up", "|E1"), "undefined\n"),
+    (("staged-erase", "--up", "|E1", "--k", "3"), "undefined\n"),
+    (("decode", ""), "\n"),
+    (("lasso", "|01"), "yes loop_start=0 loop_length=2 cuts=[0, 2]\n"),
+    (("theta", "--upto", "0"), "0 1\n"),
+])
+def test_printer_branches(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")

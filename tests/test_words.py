@@ -114,6 +114,23 @@ def test_parse_up_and_format_up():
         parse_up("|01", kind="decimal")
 
 
+@pytest.mark.parametrize("text, kind, message, position", [
+    ("01|x", "coded", "unexpected character 'x' at position 4", 4),
+    ("x|01", "coded", "unexpected character 'x' at position 1", 1),
+    ("0|2", "binary", "unexpected character '2' at position 3", 3),
+    ("2|0", "binary", "unexpected character '2' at position 1", 1),
+    ("|0 E0", "staged", "unexpected token 'E0' at position 4", 4),
+    ("E0 1|0", "staged", "unexpected token 'E0' at position 1", 1),
+    ("0 1|1 e1", "staged", "unexpected token 'e1' at position 7", 7),
+])
+def test_parse_up_counts_positions_in_the_whole_text(text, kind, message,
+                                                     position):
+    with pytest.raises(MalformedInput) as err:
+        parse_up(text, kind=kind)
+    assert str(err.value) == message
+    assert err.value.position == position
+
+
 def test_up_prefix_examples():
     assert up_prefix(up("", "01"), 5) == "01010"
     assert up_prefix(up("1", "0"), 3) == "100"
