@@ -25,11 +25,17 @@ and ``verify-rp``: it reads the word with the row's parser (or the
 the row's flags after the word and hands the answer to the row's
 printer, such as ``_bool_line`` or ``_outcome_line``.  A run returns
 None on success, or the exit status of a failure.
+
+A word given as ``-`` is read from stdin, with one trailing newline
+dropped.  ``viable`` reads it as a stream of 64 KiB reads, each checked
+as it comes, so its memory stays flat however long the word; every
+other command reads it whole and then runs as on an argument.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from functools import partial
 
@@ -119,15 +125,66 @@ def _lasso_line(verdict) -> None:
         print(f"unknown bound={verdict.bound}")
 
 
-def _run(name: str, show, parse=None, *flags: str, up=None):
+_READ = 1 << 16  # bytes per read of a word on stdin
+
+
+def _stdin_chunks():
+    """The text on stdin, one read at a time, with one trailing newline
+    (``\\n`` or ``\\r\\n``) dropped: each read holds back its last two
+    characters until the next one comes.  Bytes decode as UTF-8, a byte
+    that does not as a lone surrogate, as in a command-line argument."""
+    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
+    held = ""
+    try:
+        for data in iter(partial(sys.stdin.buffer.read, _READ), b""):
+            text = held + decode(data)
+            held = text[-2:]
+            yield text[:-2]
+    except (AttributeError, OSError):  # stdin closed, or not for reading
+        raise MalformedInput("cannot read the word from stdin") from None
+    held += decode(b"", True)
+    yield held[:-2] if held.endswith("\r\n") else held.removesuffix("\n")
+
+
+def _checked(parse, chunks):
+    """The chunks, each checked by parse, with the position of a fault
+    counted from the start of the first."""
+    start = 0
+    for chunk in chunks:
+        try:
+            parse(chunk)
+        except MalformedInput as exc:
+            raise exc.shifted(start) from None
+        start += len(chunk)
+        yield chunk
+
+
+def _run(name: str, show, parse=None, *flags: str, up=None,
+         stream: bool = False):
     """The run that shows the answer of the library function name on
     the word parse reads, with the values of flags after the word; a
     command without parse has no word.  Under --up it answers with
-    name_up on the word up reads."""
+    name_up on the word up reads.
+
+    A word of - comes from stdin: whole, or under stream as checked
+    chunks, the rest of which are checked once the function answers, so
+    that a malformed character anywhere exits 2 as in an argument."""
     def run(args) -> None:
         fn, read = (f"{name}_up", up) if up and args.up else (name, parse)
-        word = [read(args.word)] if read else []
-        show(_lib(fn)(*word, *[getattr(args, flag) for flag in flags]))
+        chunks = ()
+        if not read:
+            word = []
+        elif args.word != "-":
+            word = [read(args.word)]
+        elif stream:
+            chunks = _checked(read, _stdin_chunks())
+            word = [chunks]
+        else:
+            word = [read("".join(_stdin_chunks()))]
+        answer = _lib(fn)(*word, *[getattr(args, flag) for flag in flags])
+        for _ in chunks:  # what the function left unread
+            pass
+        show(answer)
     return run
 
 
@@ -219,7 +276,7 @@ _COMMANDS = {
     "factor": ("count factor decompositions, with cuts when unique",
                [_WORD], _run("factorize", _factor_line, parse_coded)),
     "viable": ("is the coded word a prefix of the omega power", [_WORD],
-               _run("viable_prefix", _bool_line, parse_coded)),
+               _run("viable_prefix", _bool_line, parse_coded, stream=True)),
     "lasso": ("bounded omega power membership for prefix|period",
               [_WORD, _arg("--bound", type=_positive, default=8,
                            help="period copies to explore (default 8)")],

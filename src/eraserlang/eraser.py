@@ -14,8 +14,8 @@ occur at stage j since earlier stages consumed them.
 Each job has one pass.  ``_pass_profile`` is the single-stage profile
 of an ultimately periodic word, over its prefix and period alike;
 ``_pipeline`` runs every stage over a finite word, given by its kinds,
-and returns the survivors' positions (for evaluation, factor cuts and
-viable prefixes); ``_vanishing_top`` gives only the verdict "erased to
+and returns the survivors' positions (for evaluation and factor
+cuts); ``_vanishing_top`` gives only the verdict "erased to
 nothing" in one pass over the symbols: it counts stack depth while the
 word shows one eraser index, only records a starved eraser (a smaller
 index further on would run first and might pop it), and hands the word
@@ -102,16 +102,18 @@ def _kinds(word: Iterable) -> list[int]:
     return [sym.index if type(sym) is Eraser else 0 for sym in word]
 
 
-def _pipeline(kinds: list[int]) -> list[int] | None:
+def _pipeline(kinds: list[int], used: set[int] | None = None
+              ) -> list[int] | None:
     """Run every stage over a word given by its kinds (see _kinds): the
     positions of the symbols that survive, in order, or None when an
     eraser starves.
 
-    Only the stages whose eraser occurs in the word run: every other
-    stage has no active eraser and passes its word through unchanged.
+    Only the stages whose eraser occurs in the word run, the indices in
+    used when the caller has them: every other stage has no active
+    eraser and passes its word through unchanged.
     """
     alive: Iterable[int] = range(len(kinds))
-    for active in sorted(set(kinds) - {0}):
+    for active in sorted(set(kinds) - {0} if used is None else used):
         stack: list[int] = []
         push, pop = stack.append, stack.pop
         for i in alive:
@@ -182,12 +184,13 @@ def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
     return dig, tuple(pushed)
 
 
-def _eraser_indices(word: Iterable) -> set[int]:
-    return {sym.index for sym in word if type(sym) is Eraser}
+def _eraser_indices(*words: Iterable) -> set[int]:
+    return {sym.index for word in words for sym in word
+            if type(sym) is Eraser}
 
 
-def _single_kind(symbols: Iterable) -> int:
-    kinds = _eraser_indices(symbols)
+def _single_kind(*words: Iterable) -> int:
+    kinds = _eraser_indices(*words)
     if len(kinds) > 1:
         raise MalformedInput(
             f"word mixes eraser kinds {sorted(kinds)}, expected one")
@@ -220,15 +223,15 @@ def erase_up(x: UPWord) -> EvalOutcome:
 
     Infinite outcomes carry a LoopCertificate and a normalized UPWord.
     """
-    active = _single_kind(tuple(x.prefix) + tuple(x.period))
-    return _erase_up_stage(x, active)
+    return _erase_up_stage(x, _single_kind(x.prefix, x.period))
 
 
-def _check_stages(indices: Iterable[int], stages: int) -> None:
-    """Reject a stage count below 1 or an eraser index above it."""
+def _check_stages(used: set[int], stages: int) -> None:
+    """Reject a stage count below 1 or an eraser index above it, given
+    the eraser indices a word uses."""
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    top = max(indices, default=0)
+    top = max(used, default=0)
     if top > stages:
         raise MalformedInput(
             f"eraser index {top} exceeds stage bound {stages}")
@@ -237,8 +240,9 @@ def _check_stages(indices: Iterable[int], stages: int) -> None:
 def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
     """Run passes for stages 1..stages over a finite word."""
     kinds = _kinds(word)
-    _check_stages(kinds, stages)
-    alive = _pipeline(kinds)
+    used = set(kinds) - {0}
+    _check_stages(used, stages)
+    alive = _pipeline(kinds, used)
     if alive is None:
         return EvalOutcome.undefined()
     return EvalOutcome.finite(tuple(map(word.__getitem__, alive)))
@@ -255,7 +259,7 @@ def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
     same way at every such stage, so only stage 1 (it normalizes x), the
     stages of the erasers in x and, when needed, the last stage run.
     """
-    used = _eraser_indices(tuple(x.prefix) + tuple(x.period))
+    used = _eraser_indices(x.prefix, x.period)
     _check_stages(used, stages)
     run = sorted(used | {1})
     if run[-1] < stages:
@@ -280,7 +284,7 @@ def certificate_holds(x: UPWord, cert: LoopCertificate) -> bool:
     if (cert.warmup_periods < 0 or cert.loop_periods < 1
             or len(cert.pushed) <= cert.popped):
         return False
-    active = _single_kind(tuple(x.prefix) + tuple(x.period))
+    active = _single_kind(x.prefix, x.period)
     stack: list = []
     start = low = 0
     # segment 0 is the prefix, segment n >= 1 the n-th period

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
-from itertools import accumulate, count, takewhile
+from itertools import accumulate, chain, count, repeat, takewhile
 
-from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
-                    up_prefix)
+from .words import (BETA, Eraser, MalformedInput, UPWord, parse_binary,
+                    parse_coded, up_prefix)
 from .eraser import _pipeline, _vanishing_top, staged_erase_up
-from .coding import (_token_kinds, _token_symbols, _tokenize, decode_up,
-                     encode)
+from .coding import (_STAGE_ONE, _token_kinds, _token_symbols, _tokenize,
+                     decode_up, encode)
 from .staged import _vanishing_rows
 
 
@@ -123,8 +123,12 @@ def is_factor(word: str) -> bool:
 
 # ------------------------------------------------------ viable prefixes
 
-def viable_prefix(word: str) -> bool:
-    """Is the word a prefix of some element of the omega power?
+_POPS = {BETA: -1}.get  # the stage-one step of a _STAGE_ONE token
+
+
+def viable_prefix(word: str | Iterable[str]) -> bool:
+    """Is the word, a str or an iterable of str chunks, a prefix of some
+    element of the omega power?
 
     Exactly when it decodes, a dangling code allowed, and stage one never
     starves.  A starved index-1 eraser can never be fed, since the pass
@@ -132,12 +136,42 @@ def viable_prefix(word: str) -> bool:
     index >= 2 eraser, plain content for stage one, and one appended
     index-1 eraser per stage-one survivor empties stage one before any
     later stage runs: the word becomes a pad, and a 1 closes the factor.
+
+    Stage one pushes every token but the code of Eraser(1), which pops,
+    so its stack is one counter: the depth, which starts at 0, rises by
+    one per other token and falls by one per ``aba``, and an eraser
+    starves where it would fall below 0.  The scan reads chunk after
+    chunk, each behind the code left open at the end of the one before,
+    and carries the depth along; a str is one chunk, read in place.  An
+    open code with two or more b's is carried as ``abb``: it can only
+    close as an index >= 2 eraser, and stage one treats all of those
+    alike.  Memory stays that of one chunk, however long the stream.
     """
-    scan = _tokenize(word)
+    if isinstance(word, str):
+        return _stage_one(word, 0) is not None
+    depth, carry = 0, ""
+    for chunk in word:
+        state = _stage_one(carry + chunk, depth)
+        if state is None:
+            return False
+        depth, carry = state
+    return True
+
+
+def _stage_one(text: str, depth: int) -> tuple[int, str] | None:
+    """Stage one over the tokens of text from depth: the depth after
+    them and the code left open, cut to ``abb``; None when the text does
+    not decode or an eraser starves."""
+    scan = _tokenize(text, _STAGE_ONE)
     if scan is None:
-        return False
-    # stage one alone: its eraser against everything else as content
-    return _pipeline([k == 1 for k in _token_kinds(scan[0])]) is not None
+        return None
+    ones, carry = scan  # "b" for the code of Eraser(1), "" otherwise
+    pops = ones.count(BETA)
+    # depth falls by at most pops, so only then can an eraser starve
+    if pops > depth and min(accumulate(map(_POPS, ones, repeat(1)),
+                                       initial=depth)) < 0:
+        return None
+    return depth + len(ones) - 2 * pops, carry[:3]
 
 
 # ----------------------------------------------------------- omega words
@@ -183,7 +217,7 @@ def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
 
 def has_infinitely_many_ones(x: UPWord) -> bool:
     """Does the denoted binary word contain 1 beyond every position?"""
-    for sym in tuple(x.prefix) + tuple(x.period):
+    for sym in chain(x.prefix, x.period):
         if sym not in (0, 1, "0", "1"):
             raise MalformedInput("word is not over the binary alphabet")
     # a period holds a 1 iff its primitive root does

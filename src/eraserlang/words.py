@@ -37,6 +37,12 @@ class MalformedInput(ValueError):
         self.position = position
         super().__init__(message)
 
+    def shifted(self, by: int) -> "MalformedInput":
+        """The same complaint, about text that starts by characters into
+        a longer one; the message must end with the position."""
+        at = self.position + by
+        return MalformedInput(f"{str(self).rpartition(' ')[0]} {at}", at)
+
 
 class Eraser:
     """Backspace symbol of a given stage.
@@ -182,9 +188,7 @@ def parse_up(text: str, kind: str = "coded") -> UPWord:
     try:
         period = parse(right)
     except MalformedInput as exc:  # its message ends with the position
-        at = exc.position + len(left) + 1
-        raise MalformedInput(f"{str(exc).rpartition(' ')[0]} {at}",
-                             at) from None
+        raise exc.shifted(len(left) + 1) from None
     if len(period) == 0:
         raise MalformedInput("period must be nonempty", len(left) + 2)
     return UPWord(prefix, period)
