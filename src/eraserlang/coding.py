@@ -3,28 +3,27 @@
 Letters map to themselves and Eraser(j) maps to the self delimiting code
 ``a b^j a``.  Codes never nest and no code is a prefix of another, so
 coded text splits into tokens, each a letter or a whole code, in one
-way.  One regex match reads the longest run of whole tokens and the open
-code ``a b*`` after it, if any.  The text decodes when that match
+way.  One regex match reads the longest run of whole tokens and the
+open code ``a b*`` after it, if any.  The text decodes when that match
 reaches its end, the open code being the dangling part; otherwise the
 tokenizer answers None, and the character after the match is where the
-text goes wrong.  The match keeps a backtracking frame per token, so a
-long text is matched a window of 2048 characters at a time, each window
-starting at a token or at the code the one before left open.  Only
-``decode`` turns a failure into a MalformedInput, so a coded query that
-merely rejects (``factorize``, ``viable_prefix``, ``vanishes_coded``)
-builds and raises nothing.  Only this module splits coded text into
-tokens; the coded queries take tokens and kinds from it and build no
-symbols, except ``vanishes_coded``, which needs the symbols anyway.  The
-one other reader of coded text is the order-p block scanner of the
-intersection identity check in ``omega``, which reads a letter at a
-time: that check compares it against encoded tokens, so it shares no
-rule with them.
+text goes wrong.  Only ``decode`` turns that into a MalformedInput, so
+a coded query that merely rejects (``factorize``, ``viable_prefix``,
+``vanishes_coded``) builds and raises nothing.  Only this module splits
+coded text into tokens; the coded queries take tokens and kinds from it
+and build no symbols, except ``vanishes_coded``, which needs the symbols
+anyway.  The one other reader of coded text is the order-p block
+scanner of the intersection identity check in ``omega``, which reads a
+letter at a time: that check compares it against encoded tokens, so it
+shares no rule with them.
 
 Text that comes in chunks splits the same way chunk by chunk: each
 chunk is read behind the code the chunk before left open.  That is how
 ``viable_prefix`` reads a stream, with ``_STAGE_ONE`` tokens, which
 tell only the code of Eraser(1) from the rest, so that the tokens of a
-chunk hold no string of their own.
+chunk hold no string of their own.  The match keeps a backtracking
+frame per token, so ``viable_prefix`` cuts its chunks into pieces of
+2048 characters and holds the frames of one piece at a time.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -48,10 +47,6 @@ _TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
 _STAGE_ONE = re.compile("[01]|a(b)a|ab+a")
 # the longest run of whole tokens, then the open code after it
 _SCAN = re.compile(f"(?:{_TOKEN.pattern})*(ab*)?")
-_BETAS = re.compile("b*")
-# characters one _SCAN match reads at most, past a code that fills them:
-# its backtracking stack holds one frame (about 160 bytes) per token
-_WINDOW = 1 << 11
 
 
 def encode(word: StagedWord) -> str:
@@ -73,28 +68,6 @@ class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):
     __slots__ = ()
 
 
-def _scan(text: str) -> re.Match:
-    """The _SCAN match that reaches the end of the text, or the one that
-    stops where the text goes wrong, one window after another.
-
-    A window starts at a token or at a code left open by the window
-    before, so the tokens of the windows are the tokens of the text; a
-    code that fills a window widens the next one past its b's.
-    """
-    start, stop = 0, _WINDOW
-    while True:
-        scan = _SCAN.match(text, start, stop)
-        end = scan.end()
-        if end == len(text) or end < stop:
-            return scan
-        opened = scan.start(1)
-        if opened == start:
-            stop = _BETAS.match(text, end).end() + _WINDOW
-        else:
-            start = end if opened < 0 else opened
-            stop = start + _WINDOW
-
-
 def _tokenize(text: str, token: re.Pattern = _TOKEN
               ) -> tuple[list[str], str] | None:
     """The tokens of a coded word, each a letter or a whole code as
@@ -102,13 +75,11 @@ def _tokenize(text: str, token: re.Pattern = _TOKEN
     part; None when the text does not decode.
 
     Rejecting builds no exception: only ``decode`` reads the position
-    and the message of the failure, off the end of a ``_scan`` match.
+    and the message of the failure, off the end of a ``_SCAN`` match.
     """
-    n = len(text)
-    # a text within one window is read by one match, with no loop
-    scan = _SCAN.match(text) if n <= _WINDOW else _scan(text)
+    scan = _SCAN.match(text)
     end = scan.end()
-    if end < n:
+    if end < len(text):
         return None
     dangling = scan.group(1) or ""
     return token.findall(text, 0, end - len(dangling)), dangling
@@ -140,7 +111,7 @@ def decode(text: str) -> DecodeResult:
     scan = _tokenize(text)
     if scan is None:
         # the text goes wrong just after the longest decodable run
-        bad = _scan(text)
+        bad = _SCAN.match(text)
         pos = bad.end() + 1
         if bad.group(1) or text[pos - 1] == BETA:
             raise MalformedInput(f"malformed code at position {pos}", pos)

@@ -102,18 +102,17 @@ def _kinds(word: Iterable) -> list[int]:
     return [sym.index if type(sym) is Eraser else 0 for sym in word]
 
 
-def _pipeline(kinds: list[int], used: set[int] | None = None
-              ) -> list[int] | None:
+def _pipeline(kinds: list[int], used: set[int]) -> list[int] | None:
     """Run every stage over a word given by its kinds (see _kinds): the
     positions of the symbols that survive, in order, or None when an
     eraser starves.
 
-    Only the stages whose eraser occurs in the word run, the indices in
-    used when the caller has them: every other stage has no active
-    eraser and passes its word through unchanged.
+    Only the stages of used, the eraser indices the word uses
+    (``set(kinds) - {0}``), run: every other stage has no active eraser
+    and passes its word through unchanged.
     """
     alive: Iterable[int] = range(len(kinds))
-    for active in sorted(set(kinds) - {0} if used is None else used):
+    for active in sorted(used):
         stack: list[int] = []
         push, pop = stack.append, stack.pop
         for i in alive:
@@ -154,7 +153,8 @@ def _vanishing_top(word: Sequence) -> int | None:
         if sym.index != top:
             if top:  # a second index
                 kinds = _kinds(word)
-                return max(kinds) if _pipeline(kinds) == [] else None
+                used = set(kinds) - {0}
+                return max(used) if _pipeline(kinds, used) == [] else None
             top = sym.index
         if depth:
             depth -= 1

@@ -91,7 +91,8 @@ def factorize(word: str) -> Factorization:
     if scan is None:
         return _NO_PARSE
     tokens = scan[0]
-    alive = _pipeline(_token_kinds(tokens))
+    kinds = _token_kinds(tokens)
+    alive = _pipeline(kinds, set(kinds) - {0})
     if alive is None:  # an eraser starved
         return _NO_PARSE
     ends = list(accumulate(map(len, tokens)))
@@ -114,7 +115,8 @@ def is_factor(word: str) -> bool:
     if scan is None:
         return False
     tokens = scan[0]
-    alive = _pipeline(_token_kinds(tokens))
+    kinds = _token_kinds(tokens)
+    alive = _pipeline(kinds, set(kinds) - {0})
     if alive is None:
         return False
     survivors = "".join(map(tokens.__getitem__, alive))
@@ -124,6 +126,9 @@ def is_factor(word: str) -> bool:
 # ------------------------------------------------------ viable prefixes
 
 _POPS = {BETA: -1}.get  # the stage-one step of a _STAGE_ONE token
+# characters of a chunk read by one match: the match keeps a
+# backtracking frame (about 160 bytes) per token
+_WINDOW = 1 << 11
 
 
 def viable_prefix(word: str | Iterable[str]) -> bool:
@@ -140,21 +145,25 @@ def viable_prefix(word: str | Iterable[str]) -> bool:
     Stage one pushes every token but the code of Eraser(1), which pops,
     so its stack is one counter: the depth, which starts at 0, rises by
     one per other token and falls by one per ``aba``, and an eraser
-    starves where it would fall below 0.  The scan reads chunk after
-    chunk, each behind the code left open at the end of the one before,
-    and carries the depth along; a str is one chunk, read in place.  An
-    open code with two or more b's is carried as ``abb``: it can only
-    close as an index >= 2 eraser, and stage one treats all of those
-    alike.  Memory stays that of one chunk, however long the stream.
+    starves where it would fall below 0.  A str is one chunk.  The scan
+    reads each chunk in pieces of at most 2048 characters, each behind
+    the code left open at the end of the piece before, and carries the
+    depth along; a str of one piece is read in place.  An open code
+    with two or more b's is carried as ``abb``: it can only close as an
+    index >= 2 eraser, and stage one treats all of those alike.  Memory
+    stays that of one chunk, however long the stream.
     """
     if isinstance(word, str):
-        return _stage_one(word, 0) is not None
+        if len(word) <= _WINDOW:  # one piece: no loop to set up
+            return _stage_one(word, 0) is not None
+        word = (word,)
     depth, carry = 0, ""
     for chunk in word:
-        state = _stage_one(carry + chunk, depth)
-        if state is None:
-            return False
-        depth, carry = state
+        for start in range(0, len(chunk), _WINDOW):
+            state = _stage_one(carry + chunk[start:start + _WINDOW], depth)
+            if state is None:
+                return False
+            depth, carry = state
     return True
 
 

@@ -2,8 +2,8 @@
 
 A str is one chunk; any split of it into chunks gets the answer of the
 whole word, and a stream of chunks is read in the memory of one chunk.
-The tokenizer under it reads long text in windows, so windows of any
-size give the tokens and the failures of the literal decoder.
+Each chunk is read in windows, so windows of any size give the answer
+of a literal decode and stage-one stack.
 """
 
 import hashlib
@@ -13,8 +13,8 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eraserlang import Eraser, MalformedInput, decode, viable_prefix
-from eraserlang import coding
+from eraserlang import Eraser, MalformedInput, viable_prefix
+from eraserlang import omega
 from oracles import decode_by_hand
 
 E1 = Eraser(1)
@@ -99,19 +99,14 @@ def test_a_stream_is_read_in_the_memory_of_one_chunk():
     assert peak < 1_000_000, peak
 
 
-def _outcome(decoder, text):
-    try:
-        return tuple(decoder(text))
-    except MalformedInput as exc:
-        return str(exc), exc.position
-
-
-def test_windows_of_any_size_decode_alike(monkeypatch):
-    texts = ["".join(p) for n in range(7) for p in product("01abx", repeat=n)]
-    texts += ["a" + "b" * 9 + "a0", "0" * 5 + "a" + "b" * 9,
-              "abbbba" * 3 + "ab"]
+def test_windows_of_any_size_give_the_answer_of_the_whole_word(monkeypatch):
+    words = ["".join(p) for n in range(7) for p in product("01abx", repeat=n)]
+    words += ["a" + "b" * 9 + "a0", "0" * 5 + "a" + "b" * 9,
+              "abbbba" * 3 + "ab", "0" * 6 + "aba" * 6, "0" * 5 + "aba" * 6]
+    answers = [viable_by_stage_one(word) for word in words]
     for window in (1, 2, 3, 5):
-        monkeypatch.setattr(coding, "_WINDOW", window)
-        for text in texts:
-            assert _outcome(decode, text) == _outcome(decode_by_hand, text), (
-                window, text)
+        monkeypatch.setattr(omega, "_WINDOW", window)
+        for word, answer in zip(words, answers):
+            assert viable_prefix(word) == answer, (window, word)
+            assert viable_prefix([word[:4], word[4:]]) == answer, (
+                window, word)
