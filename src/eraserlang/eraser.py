@@ -134,6 +134,13 @@ def _vanishing_top(word: Sequence) -> int | None:
     removes itself and one symbol before it, so every stage removes an
     even number of symbols and the empty word has even length.
 
+    Nor do two kinds of word by their end symbols, whatever lies
+    between.  A word ending in a letter: every eraser pops the nearest
+    surviving symbol to its left, so nothing ever pops the last symbol,
+    and a letter never removes itself.  A word starting with Eraser(1):
+    no index is smaller, so no stage runs before stage 1, where the
+    first symbol is the active eraser and meets an empty stack.
+
     Otherwise one pass over the symbols counts the stack depth against
     the first eraser index it meets, which is the only stage a word with
     one index runs; the verdict needs no survivor positions.  A starved
@@ -142,7 +149,9 @@ def _vanishing_top(word: Sequence) -> int | None:
     ``0 E2 E2 E1``, so starvation is only recorded.  As soon as a second
     index appears, the stages interact and ``_pipeline`` takes the word.
     """
-    if len(word) % 2:
+    if len(word) % 2 or word and (
+            type(word[-1]) is not Eraser
+            or type(word[0]) is Eraser and word[0].index == 1):
         return None
     top = depth = 0
     starved = False

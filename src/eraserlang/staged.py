@@ -13,8 +13,11 @@ words below calls the eraser engine, so each can check the engine.
 Every member has even length: each stage's active erasers remove
 themselves and one symbol each, so every stage removes an even number
 of symbols.  The generator rests on the same pair fact, and ``vanishes``
-refuses an odd word before any stage runs.  The grammar decider is one
-loop: its parse stack is always S (E S)^h, so the height h stands for it.
+refuses an odd word before any stage runs.  It refuses by the end
+symbols there too: no eraser ever pops a final letter, and a leading
+Eraser(1) starves at stage 1, the first to run.  The grammar decider
+is one loop: its parse stack is always S (E S)^h, so the height h
+stands for it.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ def vanishes(word: StagedWord, stages: int) -> bool:
     members (they are outside the alphabet), not an error.  A member has
     even length, since every stage removes its erasers in pairs with the
     symbols they pop, so an odd word is refused before any stage runs.
+    So is a word that ends in a letter, which no eraser can pop, or
+    starts with Eraser(1), which starves at stage 1.
     """
     if stages < 1:
         raise ValueError("stage count must be >= 1")

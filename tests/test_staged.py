@@ -77,6 +77,32 @@ def test_vanishes_agrees_with_brute_pipeline():
             assert vanishes(word, k) == vanishes_brute(word, k)
 
 
+def test_end_symbol_refusal_holds_by_brute_force():
+    # the rule itself, checked on the oracle alone: a word ending in a
+    # letter or starting with E1 never vanishes; k = 3 covers every
+    # index of these words, and membership is monotone in k
+    refused = [w for w in words_over(3, 6)
+               if w and (not isinstance(w[-1], Eraser) or w[0] == E1)]
+    assert len(refused) == 10156  # of 19,531
+    for word in refused:
+        assert not vanishes_brute(word, 3)
+        assert min_stages_brute(word) is None
+
+
+def test_end_symbol_refusal_runs_no_pass(monkeypatch):
+    # even words that show a second index early, so without the refusal
+    # they reach the pipeline
+    def no_pass(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("eraserlang.eraser._pipeline", no_pass)
+    body = (0, E2, 0, E1) * 10 ** 5
+    for word in [body + (E2, 1), (E1,) + body + (E2,)]:
+        assert len(word) % 2 == 0
+        assert not vanishes(word, 2)
+        assert min_stages(word) is None
+
+
 _ALPHABET4 = [0, 1, E1, E2, E3, E4]
 # concatenations of members are members, so these reach long words
 # that vanish; one symbol changed makes near misses of them
