@@ -21,9 +21,11 @@ Text that comes in chunks splits the same way chunk by chunk: each
 chunk is read behind the code the chunk before left open.  That is how
 ``viable_prefix`` reads a stream, with ``_STAGE_ONE`` tokens, which
 tell only the code of Eraser(1) from the rest, so that the tokens of a
-chunk hold no string of their own.  The match keeps a backtracking
-frame per token, so ``viable_prefix`` cuts its chunks into pieces of
-2048 characters and holds the frames of one piece at a time.
+chunk hold no string of their own.  The match repeats its tokens
+possessively: no token is a prefix of another, so a greedy run never
+has a token to give back, and the match is the one a backtracking loop
+finds, without a frame kept per token.  A read thus costs its token
+list, one pointer per token, however long the text.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -45,8 +47,9 @@ _TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
 # each whole token as "b" for the code of Eraser(1) and "" for any other,
 # so that the list of tokens holds no string of its own
 _STAGE_ONE = re.compile("[01]|a(b)a|ab+a")
-# the longest run of whole tokens, then the open code after it
-_SCAN = re.compile(f"(?:{_TOKEN.pattern})*(ab*)?")
+# the longest run of whole tokens, then the open code after it; the
+# possessive loop (Python 3.11) keeps no backtracking frame per token
+_SCAN = re.compile(f"(?:{_TOKEN.pattern})*+(ab*)?")
 
 
 def encode(word: StagedWord) -> str:

@@ -126,9 +126,6 @@ def is_factor(word: str) -> bool:
 # ------------------------------------------------------ viable prefixes
 
 _POPS = {BETA: -1}.get  # the stage-one step of a _STAGE_ONE token
-# characters of a chunk read by one match: the match keeps a
-# backtracking frame (about 160 bytes) per token
-_WINDOW = 1 << 11
 
 
 def viable_prefix(word: str | Iterable[str]) -> bool:
@@ -145,25 +142,22 @@ def viable_prefix(word: str | Iterable[str]) -> bool:
     Stage one pushes every token but the code of Eraser(1), which pops,
     so its stack is one counter: the depth, which starts at 0, rises by
     one per other token and falls by one per ``aba``, and an eraser
-    starves where it would fall below 0.  A str is one chunk.  The scan
-    reads each chunk in pieces of at most 2048 characters, each behind
-    the code left open at the end of the piece before, and carries the
-    depth along; a str of one piece is read in place.  An open code
-    with two or more b's is carried as ``abb``: it can only close as an
-    index >= 2 eraser, and stage one treats all of those alike.  Memory
-    stays that of one chunk, however long the stream.
+    starves where it would fall below 0.  A str is one chunk, read in
+    place at one pointer per token.  The scan reads each chunk of an
+    iterable whole, behind the code left open at the end of the chunk
+    before, and carries the depth along.  An open code with two or more
+    b's is carried as ``abb``: it can only close as an index >= 2
+    eraser, and stage one treats all of those alike.  Memory stays that
+    of one chunk, however long the stream.
     """
     if isinstance(word, str):
-        if len(word) <= _WINDOW:  # one piece: no loop to set up
-            return _stage_one(word, 0) is not None
-        word = (word,)
+        return _stage_one(word, 0) is not None
     depth, carry = 0, ""
     for chunk in word:
-        for start in range(0, len(chunk), _WINDOW):
-            state = _stage_one(carry + chunk[start:start + _WINDOW], depth)
-            if state is None:
-                return False
-            depth, carry = state
+        state = _stage_one(carry + chunk, depth)
+        if state is None:
+            return False
+        depth, carry = state
     return True
 
 

@@ -162,6 +162,7 @@ def test_verify_rp(capsys, tmp_path):
     (("decode", ""), "\n"),
     (("lasso", "|01"), "yes loop_start=0 loop_length=2 cuts=[0, 2]\n"),
     (("theta", "--upto", "0"), "0 1\n"),
+    (("factor", "ab01"), "count=0\n"),
 ])
 def test_printer_branches(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")

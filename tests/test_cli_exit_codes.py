@@ -4,6 +4,7 @@ Exit 2 comes with one diagnostic line; exit 1 is reserved for internal
 failures, so user input must never produce it.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eraserlang import omega
@@ -59,6 +60,18 @@ def test_writable_report_path_still_works(capsys, tmp_path):
     assert run(capsys, "verify-rp", "--p", "1", "--n", "3",
                "--report", str(path)) == (0, "true\n", "")
     assert path.read_text().splitlines()[1] == "result: PASS"
+
+
+# ------------------------------------------------------ negative counts
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "-1"],
+    ["enumerate", "hv", "--max-len", "-1"],
+])
+def test_a_negative_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(": must be at least 0\n")
 
 
 # -------------------------------------------------------- any word, 0 or 2

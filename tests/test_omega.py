@@ -268,6 +268,8 @@ def test_factor_index_inverts_nth_factor():
         assert factor_index(nth_factor(i)) == i
     assert factor_index("11") is None
     assert factor_index("") is None
+    with pytest.raises(ValueError):
+        nth_factor(-1)
 
 
 def test_factor_index_is_the_position_among_filtered_factors():
@@ -424,6 +426,8 @@ def test_in_coded_erasure_ladder_examples():
     assert not in_coded_erasure_ladder(UPWord("", "abba0"), 1)
     assert not in_coded_erasure_ladder(UPWord("", "abba0"), 2)
     assert in_coded_erasure_ladder(UPWord("", "0abba1"), 2)
+    with pytest.raises(ValueError):
+        in_coded_erasure_ladder(UPWord("", "0aba1"), 0)
 
 
 def test_coded_ladder_matches_staged_ladder():

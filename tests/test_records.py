@@ -60,6 +60,8 @@ def test_fields_are_read_only(record, _):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
+    with pytest.raises(AttributeError):
+        delattr(record, field)
 
 
 def test_named_tuples_keep_defaults_and_helpers():

@@ -14,9 +14,11 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import eraserlang
+from eraserlang import coding
 from eraserlang import (
     Eraser,
     MalformedInput,
@@ -94,6 +96,24 @@ def test_coded_queries_read_a_million_letters_at_once():
             out, elapsed = _timed(query, text)
             assert out == expected, (query.__name__, text[:20])
             assert elapsed < 2, (query.__name__, text[:20], elapsed)
+
+
+def _peak_bytes(query, text):
+    """The traced peak of query(text), in bytes."""
+    tracemalloc.start()
+    try:
+        query(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coded_text_is_matched_without_a_frame_per_token():
+    # a backtracking match keeps about 160 bytes a token, 78 MB here;
+    # the possessive one keeps nothing, and decode holds its symbols
+    text = "0aba" * 250_000 + "1"
+    assert _peak_bytes(coding._SCAN.match, text) < 100_000
+    assert _peak_bytes(decode, text) < 40_000_000
 
 
 def test_stages_without_erasers_cost_nothing():

@@ -135,6 +135,8 @@ def test_up_prefix_examples():
     assert up_prefix(up("", "01"), 5) == "01010"
     assert up_prefix(up("1", "0"), 3) == "100"
     assert up_prefix(up("", "1"), 0) == ""
+    with pytest.raises(ValueError):
+        up_prefix(up("", "1"), -1)
 
 
 def test_up_normalize_examples():
