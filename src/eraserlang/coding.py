@@ -6,13 +6,14 @@ coded text splits into tokens, each a letter or a whole code, in one
 way.  One regex match reads the longest run of whole tokens and the
 open code ``a b*`` after it, if any.  The text decodes when that match
 reaches its end, the open code being the dangling part; otherwise the
-tokenizer answers None, and the character after the match is where the
-text goes wrong.  Only ``decode`` turns that into a MalformedInput, so
-a coded query that merely rejects (``factorize``, ``viable_prefix``,
-``vanishes_coded``) builds and raises nothing.  Only this module splits
-coded text into tokens; the coded queries take tokens and kinds from it
-and build no symbols, except ``vanishes_coded``, which needs the symbols
-anyway.  The one other reader of coded text is the order-p block
+tokenizer answers no tokens and the failed match, and the character
+after the match is where the text goes wrong.  Only ``decode`` turns
+that into a MalformedInput, so a coded query that merely rejects
+(``factorize``, ``viable_prefix``, ``vanishes_coded``) builds and
+raises nothing.  Only this module splits coded text into tokens; the
+coded queries take tokens and kinds from it and build no symbols,
+except ``vanishes_coded``, which needs the symbols anyway.  The one
+other reader of coded text is the order-p block
 scanner of the intersection identity check in ``omega``, which reads a
 letter at a time: that check compares it against encoded tokens, so it
 shares no rule with them.
@@ -41,7 +42,7 @@ import re
 from collections import namedtuple
 
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
-                    up_normalize, up_prefix)
+                    up_normalize)
 
 _TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
 # each whole token as "b" for the code of Eraser(1) and "" for any other,
@@ -72,18 +73,19 @@ class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):
 
 
 def _tokenize(text: str, token: re.Pattern = _TOKEN
-              ) -> tuple[list[str], str] | None:
+              ) -> tuple[list[str], str] | tuple[None, re.Match]:
     """The tokens of a coded word, each a letter or a whole code as
-    ``token`` reads it (``_TOKEN`` or ``_STAGE_ONE``), and its dangling
-    part; None when the text does not decode.
+    ``token`` reads it (``_TOKEN`` or ``_STAGE_ONE``), then its dangling
+    code; None, then the failed ``_SCAN`` match, when the text does not
+    decode.
 
     Rejecting builds no exception: only ``decode`` reads the position
-    and the message of the failure, off the end of a ``_SCAN`` match.
+    and the message of the failure, off the end of that match.
     """
     scan = _SCAN.match(text)
     end = scan.end()
     if end < len(text):
-        return None
+        return None, scan
     dangling = scan.group(1) or ""
     return token.findall(text, 0, end - len(dangling)), dangling
 
@@ -111,17 +113,15 @@ def decode(text: str) -> DecodeResult:
     or a code broken by another character, at that character) or an
     unexpected character.
     """
-    scan = _tokenize(text)
-    if scan is None:
+    tokens, rest = _tokenize(text)
+    if tokens is None:
         # the text goes wrong just after the longest decodable run
-        bad = _SCAN.match(text)
-        pos = bad.end() + 1
-        if bad.group(1) or text[pos - 1] == BETA:
+        pos = rest.end() + 1
+        if rest.group(1) or text[pos - 1] == BETA:
             raise MalformedInput(f"malformed code at position {pos}", pos)
         raise MalformedInput(
             f"unexpected character {text[pos - 1]!r} at position {pos}", pos)
-    tokens, dangling = scan
-    return DecodeResult(_token_symbols(tokens), dangling)
+    return DecodeResult(_token_symbols(tokens), rest)
 
 
 def encode_up(x: UPWord) -> UPWord:
@@ -138,6 +138,8 @@ def decode_up(x: UPWord) -> UPWord:
     never closes" where a code stays open for ever.  Each period copy is
     decoded behind the code left open at its boundary; the staged period
     is read off between two boundaries that leave the same open code.
+    A malformed copy's fault is shifted to its place in the unrolled
+    word.
     """
     res = decode(x.prefix)
     symbols = list(res.symbols)
@@ -145,12 +147,13 @@ def decode_up(x: UPWord) -> UPWord:
     # a period with an a leaves one of two open codes after its last a,
     # so a boundary repeats within three copies
     while res.dangling not in seen:
+        # where the copy's text, open code first, starts in the unrolled word
+        at = len(x.prefix) + len(seen) * len(x.period) - len(res.dangling)
         seen[res.dangling] = len(symbols)
         try:
             res = decode(res.dangling + x.period)
-        except MalformedInput:  # decode raises alike on the unrolled word
-            decode(up_prefix(x, len(x.prefix) + len(seen) * len(x.period)))
-            raise
+        except MalformedInput as exc:
+            raise exc.shifted(at) from None
         symbols += res.symbols
         # a code open after a copy without an a only ever gains b's
         if res.dangling and ALPHA not in x.period:

@@ -45,11 +45,11 @@ def vanishes_coded(word: str) -> bool:
     Every stage removes an even number of symbols, so an odd token count
     is refused before any symbol is built.
     """
-    scan = _tokenize(word)
+    tokens, dangling = _tokenize(word)
     # malformed, a code left open, or odd
-    if scan is None or scan[1] or len(scan[0]) % 2:
+    if tokens is None or dangling or len(tokens) % 2:
         return False
-    return _vanishing_top(_token_symbols(scan[0])) is not None
+    return _vanishing_top(_token_symbols(tokens)) is not None
 
 
 # ------------------------------------------------------------- factors
@@ -87,10 +87,9 @@ def factorize(word: str) -> Factorization:
         return Factorization(1, (0,))
     if word[-1] != "1":  # so the word cannot end inside a code
         return _NO_PARSE
-    scan = _tokenize(word)
-    if scan is None:
+    tokens = _tokenize(word)[0]
+    if tokens is None:
         return _NO_PARSE
-    tokens = scan[0]
     kinds = _token_kinds(tokens)
     alive = _pipeline(kinds, set(kinds) - {0})
     if alive is None:  # an eraser starved
@@ -111,10 +110,9 @@ def is_factor(word: str) -> bool:
     """
     if word[-1:] != "1":  # so the word cannot end inside a code
         return False
-    scan = _tokenize(word)
-    if scan is None:
+    tokens = _tokenize(word)[0]
+    if tokens is None:
         return False
-    tokens = scan[0]
     kinds = _token_kinds(tokens)
     alive = _pipeline(kinds, set(kinds) - {0})
     if alive is None:
@@ -165,10 +163,10 @@ def _stage_one(text: str, depth: int) -> tuple[int, str] | None:
     """Stage one over the tokens of text from depth: the depth after
     them and the code left open, cut to ``abb``; None when the text does
     not decode or an eraser starves."""
-    scan = _tokenize(text, _STAGE_ONE)
-    if scan is None:
+    # ones: "b" for the code of Eraser(1), "" otherwise
+    ones, carry = _tokenize(text, _STAGE_ONE)
+    if ones is None:
         return None
-    ones, carry = scan  # "b" for the code of Eraser(1), "" otherwise
     pops = ones.count(BETA)
     # depth falls by at most pops, so only then can an eraser starve
     if pops > depth and min(accumulate(map(_POPS, ones, repeat(1)),

@@ -211,10 +211,10 @@ def up_prefix(x: UPWord, n: int) -> AnyWord:
 
 def _primitive_root(v: AnyWord) -> AnyWord:
     n = len(v)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and v[:d] * (n // d) == v:
             return v[:d]
-    raise AssertionError("unreachable")
+    return v
 
 
 def up_normalize(x: UPWord) -> UPWord:

@@ -78,15 +78,19 @@ def test_staged_and_periodic_words_read_from_stdin(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["factor", "-"], ["viable", "-"],
                                   ["member", "hv", "-"], ["decode", "-"]])
-@pytest.mark.parametrize("at", [1, 5, 65_535, 65_536, 65_537, 200_001])
+@pytest.mark.parametrize("at, bad", [
+    pytest.param(at, bad, id=f"{at}{name}")
+    for bad, name in [(b"x", ""), ("é".encode(), "-e_acute")]
+    for at in [1, 5, 65_535, 65_536, 65_537, 200_001]])
 def test_malformed_stdin_exits_2_with_its_position(monkeypatch, capsys, argv,
-                                                   at):
+                                                   at, bad):
     # a starved eraser first: viable knows its answer at once, and still
-    # reads the rest of the word and finds the fault
-    word = (b"aba" + b"0" * at)[:at - 1] + b"x" + b"0" * 10
+    # reads the rest of the word and finds the fault; at 65_536 the two
+    # bytes of a two-byte character straddle the first read
+    word = (b"aba" + b"0" * at)[:at - 1] + bad + b"0" * 10
     code, out, err = run(monkeypatch, capsys, word, *argv)
     assert (code, out) == (2, "")
-    assert err == f"unexpected character 'x' at position {at}\n"
+    assert err == f"unexpected character {bad.decode()!r} at position {at}\n"
 
 
 def test_bytes_that_are_not_utf8_exit_2(monkeypatch, capsys):

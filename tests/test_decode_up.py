@@ -8,7 +8,9 @@ even number of a's, so each copy leaves a code open or closed as it
 found it).  The staged period is read off between two boundaries that
 leave the same open code.  A malformed word raises decode's message and
 position on the unrolled word; a code that stays open for ever raises
-"code never closes".
+"code never closes".  The fault is placed by the one scan that found it:
+a rejected copy's position is shifted into the unrolled word, which is
+never decoded.
 """
 
 import time
@@ -18,6 +20,7 @@ import pytest
 
 from eraserlang import (Eraser, MalformedInput, UPWord, decode, decode_up,
                         encode_up, up_equal, up_prefix)
+import eraserlang.coding as coding
 
 
 def coded_words(max_len):
@@ -96,3 +99,35 @@ def test_long_codes_take_linear_time():
     assert decode_up(UPWord("a" + "b" * 4000 + "a", "0")) == UPWord(
         (Eraser(4000),), (0,))
     assert time.perf_counter() - t0 < 0.1
+
+
+class CountingScan:
+    """The coding's scan pattern, counting its matches."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, 0
+
+    def match(self, *args):
+        self.matches += 1
+        return self.pattern.match(*args)
+
+
+@pytest.fixture
+def scan(monkeypatch):
+    counting = CountingScan(coding._SCAN)
+    monkeypatch.setattr(coding, "_SCAN", counting)
+    return counting
+
+
+def test_a_rejected_decode_scans_once(scan):
+    with pytest.raises(MalformedInput, match="^malformed code at position 4$"):
+        decode("0abx")
+    assert scan.matches == 1
+
+
+def test_a_malformed_copy_is_placed_without_scanning_again(scan):
+    with pytest.raises(MalformedInput) as got:
+        decode_up(UPWord("0aba", "0abx"))
+    assert scan.matches == 2  # the prefix, then the first copy
+    assert (str(got.value), got.value.position) == (
+        "malformed code at position 8", 8)
