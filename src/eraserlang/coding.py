@@ -10,10 +10,10 @@ tokenizer answers no tokens and the failed match, and the character
 after the match is where the text goes wrong.  Only ``decode`` turns
 that into a MalformedInput, so a coded query that merely rejects
 (``factorize``, ``viable_prefix``, ``vanishes_coded``) builds and
-raises nothing.  Only this module splits coded text into tokens; the
-coded queries take tokens and kinds from it and build no symbols,
-except ``vanishes_coded``, which needs the symbols anyway.  The one
-other reader of coded text is the order-p block
+raises nothing.  Only this module splits coded text into tokens, and
+only ``decode`` builds symbols: the other coded queries hand their
+tokens to the stage engine as they are, since codes sort in index order
+as strings.  The one other reader of coded text is the order-p block
 scanner of the intersection identity check in ``omega``, which reads a
 letter at a time: that check compares it against encoded tokens, so it
 shares no rule with them.
@@ -45,6 +45,7 @@ from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
                     up_normalize)
 
 _TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
+_LETTERS = frozenset("01")  # the tokens that are not codes
 # each whole token as "b" for the code of Eraser(1) and "" for any other,
 # so that the list of tokens holds no string of its own
 _STAGE_ONE = re.compile("[01]|a(b)a|ab+a")
@@ -90,21 +91,6 @@ def _tokenize(text: str, token: re.Pattern = _TOKEN
     return token.findall(text, 0, end - len(dangling)), dangling
 
 
-def _token_kinds(tokens: list[str]) -> list[int]:
-    """The eraser index of each token, 0 for a letter."""
-    return [len(t) - 2 if len(t) > 1 else 0 for t in tokens]
-
-
-def _token_symbols(tokens: list[str]) -> StagedWord:
-    """The staged symbol of each token, with one Eraser per distinct
-    code: erasers are immutable, so equal codes share one."""
-    symbol = {"0": 0, "1": 1}
-    for t in set(tokens):
-        if len(t) > 1:
-            symbol[t] = Eraser(len(t) - 2)
-    return tuple(map(symbol.__getitem__, tokens))
-
-
 def decode(text: str) -> DecodeResult:
     """Decode coded text; a code left open at its end is the dangling part.
 
@@ -121,7 +107,12 @@ def decode(text: str) -> DecodeResult:
             raise MalformedInput(f"malformed code at position {pos}", pos)
         raise MalformedInput(
             f"unexpected character {text[pos - 1]!r} at position {pos}", pos)
-    return DecodeResult(_token_symbols(tokens), rest)
+    # one Eraser per distinct code: erasers are immutable, so equal
+    # codes share one
+    symbol = {"0": 0, "1": 1}
+    for code in set(tokens) - _LETTERS:
+        symbol[code] = Eraser(len(code) - 2)
+    return DecodeResult(tuple(map(symbol.__getitem__, tokens)), rest)
 
 
 def encode_up(x: UPWord) -> UPWord:

@@ -13,13 +13,14 @@ occur at stage j since earlier stages consumed them.
 
 Each job has one pass.  ``_pass_profile`` is the single-stage profile
 of an ultimately periodic word, over its prefix and period alike;
-``_pipeline`` runs every stage over a finite word, given by its kinds,
-and returns the survivors' positions (for evaluation and factor
-cuts); ``_vanishing_top`` gives only the verdict "erased to
-nothing" in one pass over the symbols: it counts stack depth while the
-word shows one eraser index, only records a starved eraser (a smaller
-index further on would run first and might pop it), and hands the word
-to ``_pipeline`` as soon as a second index appears.
+``_pipeline`` runs every stage over a finite word, given by its kinds
+or by its coded tokens, and returns the survivors' positions (for
+evaluation, factor cuts and the coded verdicts); ``_vanishing_top``
+gives only the verdict "erased to nothing" in one pass over the
+symbols: it counts stack depth while the word shows one eraser index,
+only records a starved eraser (a smaller index further on would run
+first and might pop it), and hands the word to ``_pipeline`` as soon
+as a second index appears.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -103,13 +104,16 @@ def _kinds(word: Iterable) -> list[int]:
 
 
 def _pipeline(kinds: list[int], used: set[int]) -> list[int] | None:
-    """Run every stage over a word given by its kinds (see _kinds): the
-    positions of the symbols that survive, in order, or None when an
-    eraser starves.
+    """Run every stage over a word given by its kinds (see _kinds) or
+    by its coded tokens (see coding._tokenize): the positions of the
+    symbols that survive, in order, or None when an eraser starves.
 
-    Only the stages of used, the eraser indices the word uses
-    (``set(kinds) - {0}``), run: every other stage has no active eraser
-    and passes its word through unchanged.
+    Only the stages of used, the erasers the word uses (``set(kinds) -
+    {0}``, or its tokens less the letters), run: every other stage has
+    no active eraser and passes its word through unchanged.  The sort
+    order of used is the stage order: indices sort as numbers, and the
+    codes ``a b^j a`` sort as strings in index order, since at position
+    j + 1 an ``a`` comes before a ``b``.
     """
     alive: Iterable[int] = range(len(kinds))
     for active in sorted(used):

@@ -27,13 +27,12 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
-from itertools import accumulate, chain, count, repeat, takewhile
+from itertools import accumulate, chain, compress, count, repeat, takewhile
 
 from .words import (BETA, Eraser, MalformedInput, UPWord, parse_binary,
                     parse_coded, up_prefix)
-from .eraser import _pipeline, _vanishing_top, staged_erase_up
-from .coding import (_STAGE_ONE, _token_kinds, _token_symbols, _tokenize,
-                     decode_up, encode)
+from .eraser import _pipeline, staged_erase_up
+from .coding import _LETTERS, _STAGE_ONE, _tokenize, decode_up, encode
 from .staged import _vanishing_rows
 
 
@@ -42,14 +41,15 @@ from .staged import _vanishing_rows
 def vanishes_coded(word: str) -> bool:
     """Does the word decode to a staged word that erases to nothing?
 
-    Every stage removes an even number of symbols, so an odd token count
-    is refused before any symbol is built.
+    The stage pipeline runs on the tokens themselves, and no symbol is
+    built.  Every stage removes an even number of symbols, so an odd
+    token count is refused before any stage runs.
     """
     tokens, dangling = _tokenize(word)
     # malformed, a code left open, or odd
     if tokens is None or dangling or len(tokens) % 2:
         return False
-    return _vanishing_top(_token_symbols(tokens)) is not None
+    return _pipeline(tokens, set(tokens) - _LETTERS) == []
 
 
 # ------------------------------------------------------------- factors
@@ -68,7 +68,7 @@ _NO_PARSE = Factorization(0, None)
 
 
 def factorize(word: str) -> Factorization:
-    """Factor decomposition read off one pipeline run of the decoded word.
+    """Factor decomposition read off one pipeline run over the word's tokens.
 
     In a factor stream each pad erases itself at every stage without
     reaching past the letter before it: a pass pops only what the pad
@@ -90,13 +90,14 @@ def factorize(word: str) -> Factorization:
     tokens = _tokenize(word)[0]
     if tokens is None:
         return _NO_PARSE
-    kinds = _token_kinds(tokens)
-    alive = _pipeline(kinds, set(kinds) - {0})
+    alive = _pipeline(tokens, set(tokens) - _LETTERS)
     if alive is None:  # an eraser starved
         return _NO_PARSE
-    ends = list(accumulate(map(len, tokens)))
-    return Factorization(1, (0,) + tuple(ends[i] for i in alive
-                                         if tokens[i] == "1"))
+    # a cut ends each surviving 1, read off the token lengths
+    cut = bytearray(len(tokens))
+    for i in alive:
+        cut[i] = tokens[i] == "1"
+    return Factorization(1, (0, *compress(accumulate(map(len, tokens)), cut)))
 
 
 def is_factor(word: str) -> bool:
@@ -113,8 +114,7 @@ def is_factor(word: str) -> bool:
     tokens = _tokenize(word)[0]
     if tokens is None:
         return False
-    kinds = _token_kinds(tokens)
-    alive = _pipeline(kinds, set(kinds) - {0})
+    alive = _pipeline(tokens, set(tokens) - _LETTERS)
     if alive is None:
         return False
     survivors = "".join(map(tokens.__getitem__, alive))

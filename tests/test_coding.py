@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -18,6 +19,8 @@ from eraserlang import (
     parse_staged,
     parse_up,
     up_normalize,
+    vanishes,
+    vanishes_coded,
 )
 
 from oracles import decode_by_hand
@@ -142,6 +145,35 @@ def test_encoding_is_injective_at_desk_scale():
     from eraserlang import words_over
     words = list(words_over(3, 4))
     assert len({encode(w) for w in words}) == len(words)
+
+
+def test_codes_sort_in_index_order():
+    # the stage engine runs coded tokens in the sort order of their codes
+    codes = [encode((Eraser(j),)) for j in range(1, 501)]
+    shuffled = codes[:]
+    random.Random(2024).shuffle(shuffled)
+    assert shuffled != codes
+    assert sorted(shuffled) == codes
+
+
+def vanishes_by_decoding(text):
+    """vanishes_coded through the public staged route: decode, then
+    vanishes at the word's top index."""
+    try:
+        symbols, dangling = decode(text)
+    except MalformedInput:
+        return False
+    top = max((s.index for s in symbols if type(s) is Eraser), default=1)
+    return not dangling and vanishes(symbols, top)
+
+
+def test_vanishes_coded_matches_the_decoded_route():
+    members = 0
+    for text in short_words(8):
+        want = vanishes_by_decoding(text)
+        assert vanishes_coded(text) == want, text
+        members += want
+    assert members == 21  # the 87,381 words hold 21 pads
 
 
 # ----------------------------------------------------- periodic encoding

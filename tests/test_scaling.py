@@ -116,6 +116,15 @@ def test_coded_text_is_matched_without_a_frame_per_token():
     assert _peak_bytes(decode, text) < 40_000_000
 
 
+def test_coded_queries_hold_one_list_per_word():
+    # a query keeps its token list and nothing per token beside it
+    text = "0aba" * 100_000 + "1"
+    for query, word in ((factorize, text), (is_factor, text),
+                        (vanishes_coded, text[:-1])):
+        tokens = _peak_bytes(coding._tokenize, word)
+        assert _peak_bytes(query, word) <= 1.1 * tokens, query.__name__
+
+
 def test_stages_without_erasers_cost_nothing():
     t0 = time.perf_counter()
     out = staged_erase((0,), 10 ** 6)
