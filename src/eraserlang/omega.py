@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
-from itertools import accumulate, chain, compress, count, repeat, takewhile
+from itertools import accumulate, chain, compress, count, product, repeat
 
 from .words import (BETA, Eraser, MalformedInput, UPWord, parse_binary,
                     parse_coded, up_prefix)
@@ -544,9 +544,10 @@ def verify_intersection_identity(p: int, n: int,
 # The factors are enumerated one row per length, built constructively from
 # pads, which come from staged._vanishing_rows and not from a pipeline run
 # as in is_factor; the tests check the rows against an is_factor filter
-# over all coded words.  A row asks for the shorter rows in increasing
-# length, each of which finds its own shorter rows built, so no call
-# recurses more than one row deep.
+# over all coded words.  A row is kept as one string, its factors back to
+# back, so it costs one byte a letter and no object a factor.  A row asks
+# for the shorter rows in increasing length, each of which finds its own
+# shorter rows built, so no call recurses more than one row deep.
 
 @lru_cache(maxsize=None)
 def _pad_row(m: int) -> tuple[str, ...]:
@@ -557,39 +558,52 @@ def _pad_row(m: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _factor_row(n: int) -> tuple[str, ...]:
-    """The sorted factors of length n >= 1, each a chain, a pad and a 1.
+def _factor_row(n: int) -> str:
+    """The sorted factors of length n >= 1, packed back to back, n
+    letters each.
 
-    A chain (pad 0)^* is empty or a shorter factor with its final 1
-    turned into 0, so the chains are read off the shorter rows.
+    A factor (pad 0)^* (pad 1) is a pad and a 1, or a pad and a 0
+    before a shorter factor, which is sliced out of its packed row.  The
+    pairs are joined at C speed, and the row is sorted and joined once.
     """
-    chains = [""] + [f[:-1] + "0" for j in range(1, n) for f in _factor_row(j)]
-    return tuple(sorted(chain + pad + "1" for chain in chains
-                        for pad in _pad_row(n - 1 - len(chain))))
+    words = [pad + "1" for pad in _pad_row(n - 1)]
+    for m in range(1, n):
+        heads = [pad + "0" for pad in _pad_row(n - 1 - m)]
+        words += map("".join, product(heads, _row_words(m)))
+    return "".join(sorted(words))
+
+
+def _row_words(n: int) -> Iterator[str]:
+    """The factors of length n, sliced out of their packed row."""
+    row = _factor_row(n)
+    return map(row.__getitem__,
+               map(slice, range(0, len(row), n), count(n, n)))
 
 
 def nth_factor(i: int) -> str:
     """The i-th factor in length order, ties broken by 0 < 1 < a < b."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    # the first index of each row, up to that of the row holding i; every
-    # row holds 0^(n-1) 1, so the starts grow past i
-    starts = list(takewhile(i.__ge__, accumulate(
-        map(len, map(_factor_row, count(1))), initial=0)))
-    return _factor_row(len(starts))[i - starts[-1]]
+    # skip whole rows; every row holds 0^(n-1) 1, so one holds i
+    n = 1
+    while i >= (size := len(_factor_row(n)) // n):
+        i, n = i - size, n + 1
+    return _factor_row(n)[i * n:(i + 1) * n]
 
 
 def factor_index(word: str) -> int | None:
     """Position of a factor in the enumeration, None for non-members."""
     if not is_factor(word):
         return None
-    shorter = sum(map(len, map(_factor_row, range(1, len(word)))))
-    return shorter + bisect_left(_factor_row(len(word)), word)
+    row = _factor_row(n := len(word))
+    # the shorter rows, then a bisection over the offsets of this row
+    return sum(len(_factor_row(j)) // j for j in range(1, n)) + bisect_left(
+        range(0, len(row), n), word, key=lambda k: row[k:k + n])
 
 
 def factor_words(max_len: int) -> list[str]:
     """Every factor of length up to max_len, in the order of nth_factor."""
-    return [w for n in range(1, max_len + 1) for w in _factor_row(n)]
+    return [w for n in range(1, max_len + 1) for w in _row_words(n)]
 
 
 # ------------------------------------------------------- index pairings

@@ -178,19 +178,23 @@ def parse_up(text: str, kind: str = "coded") -> UPWord:
 
     Positions count from the start of the whole text, so a malformed
     period is reported past the prefix and the separator."""
-    if text.count("|") != 1:
-        raise MalformedInput("expected exactly one '|' separator")
+    left, bar, right = text.partition("|")
+    if not bar or "|" in right:
+        # an extra separator is placed at itself, a missing one past the end
+        at = len(left) + 2 + right.index("|") if bar else len(text) + 1
+        raise MalformedInput(f"expected exactly one '|' separator at "
+                             f"position {at}", at)
     parse = _PARSERS.get(kind)
     if parse is None:
         raise ValueError(f"unknown word kind {kind!r}")
-    left, right = text.split("|")
     prefix = parse(left)
     try:
         period = parse(right)
     except MalformedInput as exc:  # its message ends with the position
         raise exc.shifted(len(left) + 1) from None
-    if len(period) == 0:
-        raise MalformedInput("period must be nonempty", len(left) + 2)
+    if len(period) == 0:  # where it would start
+        at = len(left) + 2
+        raise MalformedInput(f"period must be nonempty at position {at}", at)
     return UPWord(prefix, period)
 
 

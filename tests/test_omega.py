@@ -272,6 +272,18 @@ def test_factor_index_inverts_nth_factor():
         nth_factor(-1)
 
 
+def test_factor_index_inverts_nth_factor_at_every_row_boundary():
+    # the first and last factor of each row up to 16 letters, where the
+    # offsets into a packed row are multiples of the row's length
+    first = 0
+    for n in range(1, 17):
+        size = len(factor_words(n)) - first
+        for i in (first, first + size - 1):
+            assert len(nth_factor(i)) == n
+            assert factor_index(nth_factor(i)) == i
+        first += size
+
+
 def test_factor_index_is_the_position_among_filtered_factors():
     position = {w: i for i, w in enumerate(factors_by_filter(7))}
     for n in range(8):

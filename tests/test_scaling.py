@@ -200,6 +200,20 @@ def test_cold_enumeration_reaches_a_far_index():
     assert elapsed < 2
 
 
+def test_factor_rows_are_kept_packed():
+    # a fresh interpreter, so the rows are built under the trace; the
+    # rows up to 20 letters hold 111,865 factors: one string a row keeps
+    # about 2.9 MB, one string object a factor would keep 9.2 MB
+    code = ("import gc, tracemalloc; import eraserlang.omega as omega; "
+            "tracemalloc.start(); omega.factor_words(20); gc.collect(); "
+            "print(tracemalloc.get_traced_memory()[0])")
+    src = str(Path(eraserlang.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert int(done.stdout) < 4_000_000
+
+
 def test_cli_enumerates_long_factors_from_the_rows():
     # a fresh interpreter, as a shell user runs it; the timeout turns a
     # blow-up into a failure instead of a hang

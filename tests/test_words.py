@@ -122,6 +122,9 @@ def test_parse_up_and_format_up():
     ("|0 E0", "staged", "unexpected token 'E0' at position 4", 4),
     ("E0 1|0", "staged", "unexpected token 'E0' at position 1", 1),
     ("0 1|1 e1", "staged", "unexpected token 'e1' at position 7", 7),
+    ("0|", "coded", "period must be nonempty at position 3", 3),
+    ("0|1|0", "coded", "expected exactly one '|' separator at position 4", 4),
+    ("01", "coded", "expected exactly one '|' separator at position 3", 3),
 ])
 def test_parse_up_counts_positions_in_the_whole_text(text, kind, message,
                                                      position):
