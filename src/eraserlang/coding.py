@@ -20,13 +20,13 @@ shares no rule with them.
 
 Text that comes in chunks splits the same way chunk by chunk: each
 chunk is read behind the code the chunk before left open.  That is how
-``viable_prefix`` reads a stream, with ``_STAGE_ONE`` tokens, which
-tell only the code of Eraser(1) from the rest, so that the tokens of a
-chunk hold no string of their own.  The match repeats its tokens
-possessively: no token is a prefix of another, so a greedy run never
-has a token to give back, and the match is the one a backtracking loop
-finds, without a frame kept per token.  A read thus costs its token
-list, one pointer per token, however long the text.
+``viable_prefix`` reads a stream, each chunk as its stage-one kinds,
+one character per token.  The match repeats its tokens possessively:
+no token is a prefix of another, so a greedy run never has a token to
+give back, and the match is the one a backtracking loop finds, without
+a frame kept per token.  A read thus costs its token list, one pointer
+per token, or its kinds, one character per token, however long the
+text.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -46,12 +46,10 @@ from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
 
 _TOKEN = re.compile("[01]|ab+a")  # a letter or a whole code
 _LETTERS = frozenset("01")  # the tokens that are not codes
-# each whole token as "b" for the code of Eraser(1) and "" for any other,
-# so that the list of tokens holds no string of its own
-_STAGE_ONE = re.compile("[01]|a(b)a|ab+a")
-# the longest run of whole tokens, then the open code after it; the
-# possessive loop (Python 3.11) keeps no backtracking frame per token
-_SCAN = re.compile(f"(?:{_TOKEN.pattern})*+(ab*)?")
+# the longest run of whole tokens, then the open code after it, empty
+# when there is none; the possessive loop (Python 3.11) keeps no
+# backtracking frame per token
+_SCAN = re.compile(f"(?:{_TOKEN.pattern})*+((?:ab*)?)")
 
 
 def encode(word: StagedWord) -> str:
@@ -73,22 +71,46 @@ class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):
     __slots__ = ()
 
 
-def _tokenize(text: str, token: re.Pattern = _TOKEN
-              ) -> tuple[list[str], str] | tuple[None, re.Match]:
-    """The tokens of a coded word, each a letter or a whole code as
-    ``token`` reads it (``_TOKEN`` or ``_STAGE_ONE``), then its dangling
-    code; None, then the failed ``_SCAN`` match, when the text does not
-    decode.
+def _tokenize(text: str) -> tuple[list[str], str] | tuple[None, re.Match]:
+    """The tokens of a coded word, each a letter or a whole code, then
+    its dangling code; None, then the failed ``_SCAN`` match, when the
+    text does not decode.
 
     Rejecting builds no exception: only ``decode`` reads the position
     and the message of the failure, off the end of that match.
     """
     scan = _SCAN.match(text)
-    end = scan.end()
-    if end < len(text):
+    if scan.end() < len(text):
         return None, scan
-    dangling = scan.group(1) or ""
-    return token.findall(text, 0, end - len(dangling)), dangling
+    return _TOKEN.findall(text, 0, scan.start(1)), scan[1]
+
+
+def _stage_one_kinds(text: str) -> tuple[str, str] | tuple[None, None]:
+    """The stage-one kinds of a coded word, one character per token,
+    then its dangling code; None twice when the text does not decode.
+
+    A letter stays itself, the code of Eraser(1) becomes ``d`` and any
+    other code ``c``, read off the whole tokens, the body, in three
+    passes at C speed:
+    ``body.replace("aba", "d").replace("b", "").replace("aa", "c")``.
+
+    * In whole-token text ``aba`` occurs only as the code of Eraser(1):
+      no token starts with b, so a closing a is never followed by one,
+      and the first a of an occurrence opens a code, which the second
+      closes.  Those codes are disjoint, so the first pass replaces each
+      of them and nothing else.
+    * Once the remaining b's are deleted, each other code is an
+      adjacent ``aa`` pair, and the letters and ``d`` hold no a.
+      Pairing left to right therefore pairs each code's own a's.
+
+    One pass per distinct code would cost letters times distinct
+    indices; these three are linear in the letters whatever the codes.
+    """
+    scan = _SCAN.fullmatch(text)
+    if scan is None:
+        return None, None
+    kinds = text[:scan.start(1)].replace("aba", "d").replace("b", "")
+    return kinds.replace("aa", "c"), scan[1]
 
 
 def decode(text: str) -> DecodeResult:

@@ -29,10 +29,10 @@ from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
 from itertools import accumulate, chain, compress, count, product, repeat
 
-from .words import (BETA, Eraser, MalformedInput, UPWord, parse_binary,
-                    parse_coded, up_prefix)
+from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
+                    up_prefix)
 from .eraser import _pipeline, staged_erase_up
-from .coding import _LETTERS, _STAGE_ONE, _tokenize, decode_up, encode
+from .coding import _LETTERS, _stage_one_kinds, _tokenize, decode_up, encode
 from .staged import _vanishing_rows
 
 
@@ -123,7 +123,7 @@ def is_factor(word: str) -> bool:
 
 # ------------------------------------------------------ viable prefixes
 
-_POPS = {BETA: -1}.get  # the stage-one step of a _STAGE_ONE token
+_POPS = {"d": -1}.get  # the stage-one step of a kinds character
 
 
 def viable_prefix(word: str | Iterable[str]) -> bool:
@@ -140,39 +140,37 @@ def viable_prefix(word: str | Iterable[str]) -> bool:
     Stage one pushes every token but the code of Eraser(1), which pops,
     so its stack is one counter: the depth, which starts at 0, rises by
     one per other token and falls by one per ``aba``, and an eraser
-    starves where it would fall below 0.  A str is one chunk, read in
-    place at one pointer per token.  The scan reads each chunk of an
-    iterable whole, behind the code left open at the end of the chunk
-    before, and carries the depth along.  An open code with two or more
-    b's is carried as ``abb``: it can only close as an index >= 2
-    eraser, and stage one treats all of those alike.  Memory stays that
-    of one chunk, however long the stream.
+    starves where it would fall below 0.  A str is one chunk.  Each
+    chunk is read whole, as its stage-one kinds, one character per
+    token, behind the code left open at the end of the chunk before, and
+    the depth carries along.  An open code with two or more b's is
+    carried as ``abb``: it can only close as an index >= 2 eraser, and
+    stage one treats all of those alike.  Memory stays that of one
+    chunk, however long the stream.
     """
     if isinstance(word, str):
-        return _stage_one(word, 0) is not None
-    depth, carry = 0, ""
+        return _stage_one(0, "", word) is not None
+    state = 0, ""
     for chunk in word:
-        state = _stage_one(carry + chunk, depth)
-        if state is None:
+        if (state := _stage_one(*state, chunk)) is None:
             return False
-        depth, carry = state
     return True
 
 
-def _stage_one(text: str, depth: int) -> tuple[int, str] | None:
-    """Stage one over the tokens of text from depth: the depth after
-    them and the code left open, cut to ``abb``; None when the text does
-    not decode or an eraser starves."""
-    # ones: "b" for the code of Eraser(1), "" otherwise
-    ones, carry = _tokenize(text, _STAGE_ONE)
-    if ones is None:
+def _stage_one(depth: int, carry: str, chunk: str) -> tuple[int, str] | None:
+    """Stage one over the tokens of carry + chunk from depth: the depth
+    after them and the code left open, cut to ``abb``; None when the
+    text does not decode or an eraser starves."""
+    # one character per token, "d" for the code of Eraser(1)
+    kinds, carry = _stage_one_kinds(carry + chunk)
+    if kinds is None:
         return None
-    pops = ones.count(BETA)
+    pops = kinds.count("d")
     # depth falls by at most pops, so only then can an eraser starve
-    if pops > depth and min(accumulate(map(_POPS, ones, repeat(1)),
+    if pops > depth and min(accumulate(map(_POPS, kinds, repeat(1)),
                                        initial=depth)) < 0:
         return None
-    return depth + len(ones) - 2 * pops, carry[:3]
+    return depth + len(kinds) - 2 * pops, carry[:3]
 
 
 # ----------------------------------------------------------- omega words

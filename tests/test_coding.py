@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from eraserlang import coding
 from eraserlang import (
     Eraser,
     MalformedInput,
@@ -21,9 +22,10 @@ from eraserlang import (
     up_normalize,
     vanishes,
     vanishes_coded,
+    viable_prefix,
 )
 
-from oracles import decode_by_hand
+from oracles import decode_by_hand, single_pass
 
 E1, E2, E3 = Eraser(1), Eraser(2), Eraser(3)
 
@@ -174,6 +176,31 @@ def test_vanishes_coded_matches_the_decoded_route():
         assert vanishes_coded(text) == want, text
         members += want
     assert members == 21  # the 87,381 words hold 21 pads
+
+
+def test_stage_one_kinds_match_the_tokens_and_a_literal_pass():
+    viable = 0
+    for text in short_words(8):
+        tokens, dangling = coding._tokenize(text)
+        kinds, rest = coding._stage_one_kinds(text)
+        if tokens is None:
+            assert kinds is None, text
+        else:
+            assert kinds == "".join(
+                "d" if token == "aba" else "c" if len(token) > 2 else token
+                for token in tokens), text
+            assert rest == dangling, text
+        # viable_prefix reads the kinds: literally, the word decodes, a
+        # dangling code allowed, and a stage-one pass never starves
+        try:
+            symbols, _ = decode_by_hand(text)
+        except MalformedInput:
+            want = False
+        else:
+            want = single_pass(symbols, 1) is not None
+        assert viable_prefix(text) == want, text
+        viable += want
+    assert viable == 1738
 
 
 # ----------------------------------------------------- periodic encoding

@@ -125,6 +125,17 @@ def test_coded_queries_hold_one_list_per_word():
         assert _peak_bytes(query, word) <= 1.1 * tokens, query.__name__
 
 
+def test_viable_prefix_reads_one_character_per_token():
+    # 2,000 distinct codes, about 2 * 10^6 letters: a pass per distinct
+    # code would read the word 2,000 times
+    text = "".join("0a" + "b" * j + "a" for j in range(1, 2001))
+    viable, elapsed = _timed(viable_prefix, text)
+    assert viable and elapsed < 0.1, elapsed
+    # 200,001 tokens: a list of them holds 1.6 MB of pointers, the kinds
+    # one byte each
+    assert _peak_bytes(viable_prefix, "0aba" * 10 ** 5 + "1") <= 400_000
+
+
 def test_stages_without_erasers_cost_nothing():
     t0 = time.perf_counter()
     out = staged_erase((0,), 10 ** 6)
