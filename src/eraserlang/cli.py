@@ -23,8 +23,8 @@ One builder, ``_run``, makes the run of every command but ``theta``
 and ``verify-rp``: it reads the word with the row's parser (or the
 ``--up`` one, calling ``<name>_up``), calls the library function with
 the row's flags after the word and hands the answer to the row's
-printer, such as ``_bool_line`` or ``_outcome_line``.  A run returns
-None on success, or the exit status of a failure.
+printer, such as ``_bool_line`` or ``_outcome_line``.  On a failure a
+run raises ``MalformedInput``, and ``main`` prints it and exits 2.
 
 A word given as ``-`` is read from stdin, with one trailing newline
 dropped.  ``viable`` reads it as a stream of 64 KiB reads, each checked
@@ -188,25 +188,23 @@ def _run(name: str, show, parse=None, *flags: str, up=None,
     return run
 
 
-def _run_theta(args) -> int | None:
+def _run_theta(args) -> None:
     nth_factor = _lib("nth_factor")
     if args.upto is not None:
         for i in range(args.upto + 1):
             print(f"{i} {nth_factor(i)}")
     elif args.index is None:
-        print("theta needs an index or --upto", file=sys.stderr)
-        return 2
+        raise MalformedInput("theta needs an index or --upto")
     else:
         print(nth_factor(args.index))
 
 
-def _run_verify_rp(args) -> int | None:
+def _run_verify_rp(args) -> None:
     try:
         ok = _lib("verify_intersection_identity")(args.p, args.n, args.report)
     except OSError as exc:
-        print(f"cannot write report {args.report}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 2
+        raise MalformedInput(f"cannot write report {args.report}: "
+                             f"{exc.strerror or exc}") from None
     _bool_line(ok)
 
 
@@ -338,10 +336,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
     try:
-        return args.run(args) or 0
+        args.run(args)
     except MalformedInput as exc:
         print(exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -126,9 +126,8 @@ def decode(text: str) -> DecodeResult:
         # the text goes wrong just after the longest decodable run
         pos = rest.end() + 1
         if rest.group(1) or text[pos - 1] == BETA:
-            raise MalformedInput(f"malformed code at position {pos}", pos)
-        raise MalformedInput(
-            f"unexpected character {text[pos - 1]!r} at position {pos}", pos)
+            raise MalformedInput("malformed code", pos)
+        raise MalformedInput(f"unexpected character {text[pos - 1]!r}", pos)
     # one Eraser per distinct code: erasers are immutable, so equal
     # codes share one
     symbol = {"0": 0, "1": 1}

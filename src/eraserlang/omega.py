@@ -196,6 +196,8 @@ def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
     w[p1:p2] is a stream after the stream w[:p1] exactly when p1 is a
     cut of w[:p2], since factorizations are unique.  A lasso makes every
     prefix of the word viable, so a word that is not viable has none.
+    A cut is 0 or falls just after a 1, and a nonempty stream ends in
+    1, so only such p1 and p2 are tried.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -206,9 +208,11 @@ def lasso_member(x: UPWord, bound: int) -> LassoVerdict:
         return LassoVerdict("no")
     cuts_upto = cache(lambda p2: factorize(w[:p2]).cuts)
     for p1 in range(ulen, n + 1):
+        if p1 and w[p1 - 1] != "1":
+            continue
         for p2 in range(p1 + plen, n + 1, plen):
-            cuts = cuts_upto(p2)
-            if cuts is not None and p1 in cuts:
+            cuts = w[p2 - 1] == "1" and cuts_upto(p2)
+            if cuts and p1 in cuts:
                 return LassoVerdict("yes", loop_start=p1,
                                     loop_length=p2 - p1, factor_cuts=cuts)
     return LassoVerdict("unknown", bound=bound)
@@ -613,13 +617,18 @@ def pairing_consistent(sigma: str, nu: str) -> bool:
     Past the factors of sigma's complete blocks, nu only has to be a
     viable prefix.  Any viable prefix completes to a single pad, which
     extends to factors of unbounded length, hence unbounded index, so
-    the open block of sigma can always grow to match.
+    the open block of sigma can always grow to match.  Once the factors
+    cover nu, no later one is compared and the rest of nu is empty, so
+    none is built.
     """
     parse_binary(sigma)
     parse_coded(nu)
-    # the k of each closed block 0^k 1; the last piece is the open block
-    expected = "".join(nth_factor(len(block))
-                       for block in sigma.split("1")[:-1])
-    common = min(len(nu), len(expected))
-    return (nu[:common] == expected[:common]
-            and viable_prefix(nu[len(expected):]))
+    # nu is matched, up to at, against the factor of each closed block
+    # 0^k 1 of sigma, whose k is read off where its 1 falls
+    at = start = 0
+    while at < len(nu) and (end := sigma.find("1", start)) >= 0:
+        factor = nth_factor(end - start)
+        if not nu.startswith(factor[:len(nu) - at], at):
+            return False
+        at, start = at + len(factor), end + 1
+    return viable_prefix(nu[at:])

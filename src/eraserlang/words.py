@@ -31,17 +31,19 @@ BETA = "b"
 
 
 class MalformedInput(ValueError):
-    """Rejected input, tagged with a 1-based text position when one is known."""
+    """Rejected input: a complaint, and the 1-based text position it is
+    about when one is known, which the text of the exception gives after
+    the complaint.  The command line prints that text and exits 2."""
 
-    def __init__(self, message: str, position: int | None = None):
-        self.position = position
-        super().__init__(message)
+    def __init__(self, complaint: str, position: int | None = None):
+        self.complaint, self.position = complaint, position
+        super().__init__(complaint if position is None
+                         else f"{complaint} at position {position}")
 
     def shifted(self, by: int) -> "MalformedInput":
         """The same complaint, about text that starts by characters into
-        a longer one; the message must end with the position."""
-        at = self.position + by
-        return MalformedInput(f"{str(self).rpartition(' ')[0]} {at}", at)
+        a longer one."""
+        return MalformedInput(self.complaint, self.position + by)
 
 
 class Eraser:
@@ -105,8 +107,7 @@ def _check_chars(text: str, outside: re.Pattern) -> str:
     it; the 1-based position of a bad character is its match's end."""
     bad = outside.search(text)
     if bad:
-        raise MalformedInput(f"unexpected character {bad.group()!r} at "
-                             f"position {bad.end()}", bad.end())
+        raise MalformedInput(f"unexpected character {bad[0]!r}", bad.end())
     return text
 
 
@@ -131,9 +132,7 @@ def parse_staged(text: str) -> StagedWord:
         elif _STAGED_TOKEN.match(tok):
             symbols.append(Eraser(int(tok[1:])))
         else:
-            raise MalformedInput(
-                f"unexpected token {tok!r} at position {m.start() + 1}",
-                m.start() + 1)
+            raise MalformedInput(f"unexpected token {tok!r}", m.start() + 1)
     return tuple(symbols)
 
 
@@ -182,19 +181,17 @@ def parse_up(text: str, kind: str = "coded") -> UPWord:
     if not bar or "|" in right:
         # an extra separator is placed at itself, a missing one past the end
         at = len(left) + 2 + right.index("|") if bar else len(text) + 1
-        raise MalformedInput(f"expected exactly one '|' separator at "
-                             f"position {at}", at)
+        raise MalformedInput("expected exactly one '|' separator", at)
     parse = _PARSERS.get(kind)
     if parse is None:
         raise ValueError(f"unknown word kind {kind!r}")
     prefix = parse(left)
     try:
         period = parse(right)
-    except MalformedInput as exc:  # its message ends with the position
+    except MalformedInput as exc:
         raise exc.shifted(len(left) + 1) from None
-    if len(period) == 0:  # where it would start
-        at = len(left) + 2
-        raise MalformedInput(f"period must be nonempty at position {at}", at)
+    if len(period) == 0:  # placed where it would start
+        raise MalformedInput("period must be nonempty", len(left) + 2)
     return UPWord(prefix, period)
 
 

@@ -90,15 +90,13 @@ def decode_by_hand(text):
             if j == n:
                 return tuple(symbols), text[i:]
             if text[j] != "a" or j == i + 1:
-                raise MalformedInput(f"malformed code at position {j + 1}",
-                                     j + 1)
+                raise MalformedInput("malformed code", j + 1)
             symbols.append(Eraser(j - i - 1))
             i = j + 1
         elif ch == "b":
-            raise MalformedInput(f"malformed code at position {i + 1}", i + 1)
+            raise MalformedInput("malformed code", i + 1)
         else:
-            raise MalformedInput(
-                f"unexpected character {ch!r} at position {i + 1}", i + 1)
+            raise MalformedInput(f"unexpected character {ch!r}", i + 1)
     return tuple(symbols), ""
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 import eraserlang
 from eraserlang import (
     Eraser,
+    LassoVerdict,
     MalformedInput,
     UPWord,
     encode,
@@ -25,6 +28,7 @@ from eraserlang import (
     lasso_member,
     nth_factor,
     pairing_consistent,
+    up_prefix,
     vanishes_coded,
     verify_intersection_identity,
     viable_prefix,
@@ -197,6 +201,44 @@ def test_lasso_cuts_replay():
 def test_misaligned_period_is_rejected():
     # the same letters with the loop cut mid code never factor
     assert lasso_member(UPWord("0ab", "a01"), 6).status == "no"
+
+
+def _lasso_every_pair(x, bound):
+    """The lasso search that tries every loop start and loop end."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    ulen, plen = len(x.prefix), len(x.period)
+    w = up_prefix(x, ulen + bound * plen)
+    n = len(w)
+    if not viable_prefix(w):
+        return LassoVerdict("no")
+    cuts_upto = cache(lambda p2: factorize(w[:p2]).cuts)
+    for p1 in range(ulen, n + 1):
+        for p2 in range(p1 + plen, n + 1, plen):
+            cuts = cuts_upto(p2)
+            if cuts is not None and p1 in cuts:
+                return LassoVerdict("yes", loop_start=p1,
+                                    loop_length=p2 - p1, factor_cuts=cuts)
+    return LassoVerdict("unknown", bound=bound)
+
+
+def _coded_words(lengths):
+    return ["".join(t) for n in lengths for t in product("01ab", repeat=n)]
+
+
+def test_lasso_member_agrees_with_every_pair_search():
+    # every prefix of at most 3 letters, every period of 1 to 4 letters
+    # and four bounds: 115,600 searches
+    verdicts = {"yes": 0, "no": 0, "unknown": 0}
+    for u in _coded_words(range(4)):
+        for v in _coded_words(range(1, 5)):
+            for bound in (1, 2, 3, 5):
+                got = lasso_member(UPWord(u, v), bound)
+                assert got == _lasso_every_pair(UPWord(u, v), bound), (
+                    u, v, bound)
+                verdicts[got.status] += 1
+    assert sum(verdicts.values()) == 115_600
+    assert verdicts["yes"] == 1290
 
 
 def refuse_eraser(self, index):
@@ -399,6 +441,38 @@ def test_pairing_full_streams_and_corruptions():
     assert pairing_consistent(sigma, nu)
     corrupted = "1" + nu[1:]
     assert not pairing_consistent(sigma, corrupted)
+
+
+def _pairing_joining_every_factor(sigma, nu):
+    """pairing_consistent read off the factors of every closed block."""
+    expected = "".join(nth_factor(len(block))
+                       for block in sigma.split("1")[:-1])
+    common = min(len(nu), len(expected))
+    return (nu[:common] == expected[:common]
+            and viable_prefix(nu[len(expected):]))
+
+
+def test_pairing_agrees_with_joining_every_factor():
+    rng = random.Random(5)
+    for _ in range(5000):
+        # random pairs
+        sigma = "".join(rng.choices("001", k=rng.randrange(13)))
+        nu = "".join(rng.choices("01ab", k=rng.randrange(13)))
+        assert pairing_consistent(sigma, nu) == (
+            _pairing_joining_every_factor(sigma, nu)), (sigma, nu)
+        # the expected stream, cut short or run past, and maybe spoiled
+        sigma = "".join("0" * rng.randrange(8) + "1"
+                        for _ in range(rng.randrange(6)))
+        sigma += "0" * rng.randrange(3)
+        stream = "".join(nth_factor(len(block))
+                         for block in sigma.split("1")[:-1])
+        nu = stream[:rng.randint(0, len(stream) + 2)] + "".join(
+            rng.choices("01ab", k=rng.randrange(4)))
+        if nu and rng.random() < 0.5:
+            at = rng.randrange(len(nu))
+            nu = nu[:at] + rng.choice("01ab") + nu[at + 1:]
+        assert pairing_consistent(sigma, nu) == (
+            _pairing_joining_every_factor(sigma, nu)), (sigma, nu)
 
 
 def test_pairing_table_is_pinned():

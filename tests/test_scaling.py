@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import eraserlang
@@ -22,9 +23,12 @@ from eraserlang import coding
 from eraserlang import (
     Eraser,
     MalformedInput,
+    UPWord,
     decode,
     factorize,
     is_factor,
+    lasso_member,
+    pairing_consistent,
     staged_erase,
     vanishes,
     vanishes_by_grammar,
@@ -134,6 +138,24 @@ def test_viable_prefix_reads_one_character_per_token():
     # 200,001 tokens: a list of them holds 1.6 MB of pointers, the kinds
     # one byte each
     assert _peak_bytes(viable_prefix, "0aba" * 10 ** 5 + "1") <= 400_000
+
+
+def test_lasso_tries_only_where_a_stream_can_end():
+    # no 1 in the word, so no loop start past 0 and no loop end is a
+    # cut; trying each pair factorized about 3,000 prefixes
+    for x, bound in ((UPWord("", "0"), 3000), (UPWord("", "0aba"), 2000)):
+        out, elapsed = _timed(partial(lasso_member, bound=bound), x)
+        assert out.status == "unknown" and out.bound == bound
+        assert elapsed < 0.1, (x, elapsed)
+
+
+def test_pairing_builds_only_the_factors_that_nu_reaches():
+    # the fourth block asks for factor 10^6, which nu ends before
+    sigma = "01" * 3 + "0" * 10 ** 6 + "1"
+    query = partial(pairing_consistent, sigma)
+    out, elapsed = _timed(query, "0101")
+    assert out is True and elapsed < 0.1, elapsed
+    assert _peak_bytes(query, "0101") < 1_000_000
 
 
 def test_stages_without_erasers_cost_nothing():

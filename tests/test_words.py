@@ -54,6 +54,27 @@ def test_parse_binary_rejects_with_position():
     assert err.value.position == 2
 
 
+def test_malformed_input_writes_its_own_position():
+    exc = MalformedInput("c", 3)
+    assert str(exc) == "c at position 3"
+    assert (exc.complaint, exc.position) == ("c", 3)
+    assert exc.args == (str(exc),)
+    moved = exc.shifted(4)
+    assert str(moved) == "c at position 7"
+    assert (moved.complaint, moved.position) == ("c", 7)
+    assert moved.args == (str(moved),)
+    # a complaint that ends in a number is moved by its position alone
+    exc = MalformedInput("eraser index must be >= 1, got 0", 2).shifted(5)
+    assert str(exc) == "eraser index must be >= 1, got 0 at position 7"
+
+
+def test_malformed_input_without_a_position_is_its_complaint():
+    exc = MalformedInput("period must be nonempty")
+    assert str(exc) == "period must be nonempty"
+    assert exc.position is None
+    assert exc.args == (str(exc),)
+
+
 def test_parse_staged_tokens():
     assert parse_staged("0 E2 1") == (0, Eraser(2), 1)
     assert parse_staged("") == ()
