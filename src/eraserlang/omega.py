@@ -546,17 +546,19 @@ def verify_intersection_identity(p: int, n: int,
 # The factors are enumerated one row per length, built constructively from
 # pads, which come from staged._vanishing_rows and not from a pipeline run
 # as in is_factor; the tests check the rows against an is_factor filter
-# over all coded words.  A row is kept as one string, its factors back to
-# back, so it costs one byte a letter and no object a factor.  A row asks
-# for the shorter rows in increasing length, each of which finds its own
-# shorter rows built, so no call recurses more than one row deep.
+# over all coded words.  A row, of pads or of factors, is kept as one
+# string, its words back to back, so it costs one byte a letter and no
+# object a word.  A row asks for the shorter rows in increasing length,
+# each of which finds its own shorter rows built, so no call recurses
+# more than one row deep.
 
 @lru_cache(maxsize=None)
-def _pad_row(m: int) -> tuple[str, ...]:
-    """The sorted encodings of the vanishing staged words coded m long;
-    Eraser(m - 2) is the highest eraser whose code fits."""
+def _pad_row(m: int) -> str:
+    """The sorted encodings of the vanishing staged words coded m long,
+    packed back to back, m letters each; Eraser(m - 2) is the highest
+    eraser whose code fits."""
     rows = _vanishing_rows(m - 2, lambda sym: len(encode((sym,))), m)
-    return tuple(sorted(map(encode, rows[m])))
+    return "".join(sorted(map(encode, rows[m])))
 
 
 @lru_cache(maxsize=None)
@@ -565,21 +567,24 @@ def _factor_row(n: int) -> str:
     letters each.
 
     A factor (pad 0)^* (pad 1) is a pad and a 1, or a pad and a 0
-    before a shorter factor, which is sliced out of its packed row.  The
-    pairs are joined at C speed, and the row is sorted and joined once.
+    before a shorter factor; pads and factors are sliced out of their
+    packed rows.  The pairs are joined at C speed, and the row is sorted
+    and joined once.
     """
-    words = [pad + "1" for pad in _pad_row(n - 1)]
+    words = [pad + "1" for pad in _row_words(_pad_row(n - 1), n - 1)]
     for m in range(1, n):
-        heads = [pad + "0" for pad in _pad_row(n - 1 - m)]
-        words += map("".join, product(heads, _row_words(m)))
+        k = n - 1 - m  # the length of the pad before the 0
+        heads = [pad + "0" for pad in _row_words(_pad_row(k), k)]
+        words += map("".join, product(heads, _row_words(_factor_row(m), m)))
     return "".join(sorted(words))
 
 
-def _row_words(n: int) -> Iterator[str]:
-    """The factors of length n, sliced out of their packed row."""
-    row = _factor_row(n)
-    return map(row.__getitem__,
-               map(slice, range(0, len(row), n), count(n, n)))
+def _row_words(row: str, n: int) -> Iterator[str]:
+    """The words of a packed row, n letters each.  The one row of width
+    0, the pads coded 0 long, holds the empty word alone, which no
+    length of the packed string can count."""
+    starts = range(0, len(row), n) if n else [0]
+    return map(row.__getitem__, map(slice, starts, count(n, n)))
 
 
 def nth_factor(i: int) -> str:
@@ -605,7 +610,8 @@ def factor_index(word: str) -> int | None:
 
 def factor_words(max_len: int) -> list[str]:
     """Every factor of length up to max_len, in the order of nth_factor."""
-    return [w for n in range(1, max_len + 1) for w in _row_words(n)]
+    return [w for n in range(1, max_len + 1)
+            for w in _row_words(_factor_row(n), n)]
 
 
 # ------------------------------------------------------- index pairings

@@ -130,7 +130,12 @@ def parse_staged(text: str) -> StagedWord:
         elif tok == "1":
             symbols.append(1)
         elif _STAGED_TOKEN.match(tok):
-            symbols.append(Eraser(int(tok[1:])))
+            try:  # int() refuses more digits than Python's limit allows
+                index = int(tok[1:])
+            except ValueError:
+                raise MalformedInput("eraser index has too many digits",
+                                     m.start() + 1) from None
+            symbols.append(Eraser(index))
         else:
             raise MalformedInput(f"unexpected token {tok!r}", m.start() + 1)
     return tuple(symbols)

@@ -76,7 +76,9 @@ def test_a_negative_count_exits_2(capsys, argv):
 
 # -------------------------------------------------------- any word, 0 or 2
 
-TOKENS = ["0", "1", "E1", "E2", "E3", "a", "b", "|", "x", "E0"]
+# the last token has more digits than Python reads into an int
+TOKENS = ["0", "1", "E1", "E2", "E3", "a", "b", "|", "x", "E0",
+          "E" + "1" * 5000]
 words = st.builds(lambda toks, sep: sep.join(toks),
                   st.lists(st.sampled_from(TOKENS), max_size=8),
                   st.sampled_from([" ", ""]))

@@ -35,7 +35,7 @@ from eraserlang import (
     words_over,
 )
 
-from eraserlang.omega import _pad_row
+from eraserlang.omega import _pad_row, _row_words
 
 from oracles import (factors_by_filter, pipeline, vanishes_brute,
                      viable_by_extension)
@@ -342,10 +342,26 @@ def test_row_sizes_are_pinned():
     assert sizes == [1, 1, 1, 1, 3, 7, 13, 22, 42, 82, 158, 295, 567]
 
 
+PAD_ROW_SIZES = [1, 0, 0, 0, 2, 2, 2, 3, 11, 16, 24, 37, 91, 140, 244, 409,
+                 848]
+
+
+def _pads(m):
+    """The pads coded m long, read out of their packed row."""
+    return list(_row_words(_pad_row(m), m))
+
+
 def test_pad_row_sizes_are_pinned():
-    sizes = [len(_pad_row(m)) for m in range(17)]
-    assert sizes == [1, 0, 0, 0, 2, 2, 2, 3, 11, 16, 24, 37, 91, 140, 244,
-                     409, 848]
+    assert [len(_pads(m)) for m in range(17)] == PAD_ROW_SIZES
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_pad_rows_are_packed_sorted_and_distinct(m):
+    row = _pad_row(m)
+    assert type(row) is str
+    assert len(row) == m * PAD_ROW_SIZES[m]
+    pads = _pads(m)
+    assert pads == sorted(set(pads))
 
 
 def _staged_words_coded(m):
@@ -366,7 +382,7 @@ def test_pad_rows_match_a_literal_walk(m):
     # no index reaches m, so m stages run every eraser's stage
     walked = [encode(w) for w in _staged_words_coded(m)
               if pipeline(w, m) == ()]
-    assert _pad_row(m) == tuple(sorted(walked))
+    assert _pads(m) == sorted(walked)
 
 
 def test_factor_index_does_not_depend_on_call_order():

@@ -235,8 +235,10 @@ def test_cold_enumeration_reaches_a_far_index():
 
 def test_factor_rows_are_kept_packed():
     # a fresh interpreter, so the rows are built under the trace; the
-    # rows up to 20 letters hold 111,865 factors: one string a row keeps
-    # about 2.9 MB, one string object a factor would keep 9.2 MB
+    # factor rows up to 20 letters hold 111,865 factors, built from
+    # 10,027 pads: one string a row, of pads or of factors, keeps about
+    # 2.3 MB; one string object a pad would keep 2.9 MB, and one a
+    # factor as well 9.2 MB
     code = ("import gc, tracemalloc; import eraserlang.omega as omega; "
             "tracemalloc.start(); omega.factor_words(20); gc.collect(); "
             "print(tracemalloc.get_traced_memory()[0])")
@@ -244,7 +246,7 @@ def test_factor_rows_are_kept_packed():
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert int(done.stdout) < 4_000_000
+    assert int(done.stdout) < 2_500_000
 
 
 def test_cli_enumerates_long_factors_from_the_rows():

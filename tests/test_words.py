@@ -88,6 +88,14 @@ def test_parse_staged_rejects_bad_tokens():
         assert err.value.position == pos
 
 
+def test_parse_staged_rejects_an_index_past_the_digit_limit():
+    # Python refuses to read an int from more than 4,300 digits
+    with pytest.raises(MalformedInput) as err:
+        parse_staged("0 E" + "1" * 5000)
+    assert str(err.value) == "eraser index has too many digits at position 3"
+    assert err.value.position == 3
+
+
 def test_eraser_index_must_be_positive():
     with pytest.raises(MalformedInput):
         Eraser(0)
