@@ -128,8 +128,7 @@ def decode(text: str) -> DecodeResult:
         if rest.group(1) or text[pos - 1] == BETA:
             raise MalformedInput("malformed code", pos)
         raise MalformedInput(f"unexpected character {text[pos - 1]!r}", pos)
-    # one Eraser per distinct code: erasers are immutable, so equal
-    # codes share one
+    # Eraser() once per distinct code, not once per token
     symbol = {"0": 0, "1": 1}
     for code in set(tokens) - _LETTERS:
         symbol[code] = Eraser(len(code) - 2)

@@ -13,14 +13,15 @@ occur at stage j since earlier stages consumed them.
 
 Each job has one pass.  ``_pass_profile`` is the single-stage profile
 of an ultimately periodic word, over its prefix and period alike;
-``_pipeline`` runs every stage over a finite word, given by its kinds
-or by its coded tokens, and returns the survivors' positions (for
-evaluation, factor cuts and the coded verdicts); ``_vanishing_top``
-gives only the verdict "erased to nothing" in one pass over the
-symbols: it counts stack depth while the word shows one eraser index,
-only records a starved eraser (a smaller index further on would run
-first and might pop it), and hands the word to ``_pipeline`` as soon
-as a second index appears.
+``_stages`` runs every stage over a finite staged word and returns the
+survivors; ``_pipeline`` runs every stage over coded tokens and returns
+the survivors' positions (for factor cuts and the coded verdicts);
+``_vanishing_top`` gives only the verdict "erased to nothing" in one
+pass over the symbols: it counts stack depth while the word shows one
+eraser index, only records a starved eraser (a smaller index further
+on would run first and might pop it), and hands the word to
+``_stages`` as soon as a second index appears.  Erasers are interned
+(see words.Eraser), so a stage tells its active eraser by identity.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 from .words import Eraser, MalformedInput, StagedWord, UPWord, up_normalize
 
@@ -98,29 +100,52 @@ class EvalOutcome(namedtuple("EvalOutcome", "status word up certificate",
         return self.status == INFINITE
 
 
-def _kinds(word: Iterable) -> list[int]:
-    """The eraser index of each symbol, 0 for a letter."""
-    return [sym.index if type(sym) is Eraser else 0 for sym in word]
+def _erasers(*words: Iterable) -> list[Eraser]:
+    """The distinct erasers of the words, in index order."""
+    return sorted([sym for sym in set().union(*words) if type(sym) is Eraser],
+                  key=attrgetter("index"))
 
 
-def _pipeline(kinds: list[int], used: set[int]) -> list[int] | None:
-    """Run every stage over a word given by its kinds (see _kinds) or
-    by its coded tokens (see coding._tokenize): the positions of the
-    symbols that survive, in order, or None when an eraser starves.
+def _stages(word: Sequence, erasers: list[Eraser]) -> Sequence | None:
+    """Run the stages of erasers, in order, over a finite word: the
+    symbols that survive (a list, or word itself when no stage runs),
+    or None when an eraser starves.
 
-    Only the stages of used, the erasers the word uses (``set(kinds) -
-    {0}``, or its tokens less the letters), run: every other stage has
-    no active eraser and passes its word through unchanged.  The sort
-    order of used is the stage order: indices sort as numbers, and the
-    codes ``a b^j a`` sort as strings in index order, since at position
-    j + 1 an ``a`` comes before a ``b``.
+    Every other stage has no active eraser and passes its word through
+    unchanged, so erasers should be those of the word (see _erasers).
     """
-    alive: Iterable[int] = range(len(kinds))
+    alive = word
+    for active in erasers:
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        for sym in alive:
+            if sym is not active:
+                push(sym)
+            elif stack:
+                pop()
+            else:
+                return None
+        alive = stack
+    return alive
+
+
+def _pipeline(tokens: list[str], used: set[str]) -> list[int] | None:
+    """Run every stage over a word given by its coded tokens (see
+    coding._tokenize): the positions of the tokens that survive, in
+    order, or None when an eraser starves.
+
+    Only the stages of used, the codes of the erasers the word uses
+    (its tokens less the letters), run: every other stage has no active
+    eraser and passes its word through unchanged.  The codes ``a b^j
+    a`` sort as strings in index order, since at position j + 1 an
+    ``a`` comes before a ``b``, so their sort order is the stage order.
+    """
+    alive: Iterable[int] = range(len(tokens))
     for active in sorted(used):
         stack: list[int] = []
         push, pop = stack.append, stack.pop
         for i in alive:
-            if kinds[i] != active:
+            if tokens[i] != active:
                 push(i)
             elif stack:
                 pop()
@@ -151,7 +176,7 @@ def _vanishing_top(word: Sequence) -> int | None:
     eraser does not end the pass: a smaller index further on runs its
     stage first and may pop the eraser that starved, as in
     ``0 E2 E2 E1``, so starvation is only recorded.  As soon as a second
-    index appears, the stages interact and ``_pipeline`` takes the word.
+    index appears, the stages interact and ``_stages`` takes the word.
     """
     if len(word) % 2 or word and (
             type(word[-1]) is not Eraser
@@ -165,9 +190,9 @@ def _vanishing_top(word: Sequence) -> int | None:
             continue
         if sym.index != top:
             if top:  # a second index
-                kinds = _kinds(word)
-                used = set(kinds) - {0}
-                return max(used) if _pipeline(kinds, used) == [] else None
+                erasers = _erasers(word)
+                vanished = _stages(word, erasers) == []
+                return erasers[-1].index if vanished else None
             top = sym.index
         if depth:
             depth -= 1
@@ -176,7 +201,7 @@ def _vanishing_top(word: Sequence) -> int | None:
     return None if starved or depth else top
 
 
-def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
+def _pass_profile(word: Iterable, active: Eraser) -> tuple[int, tuple]:
     """Net effect (dig, pushed) of one pass over a word on a deep stack.
 
     dig counts pops that reach below the stack level the pass started at;
@@ -187,7 +212,7 @@ def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
     pushed = []
     dig = 0
     for sym in word:
-        if type(sym) is Eraser and sym.index == active:
+        if sym is active:
             if pushed:
                 pushed.pop()
             else:
@@ -197,17 +222,12 @@ def _pass_profile(word: Iterable, active: int) -> tuple[int, tuple]:
     return dig, tuple(pushed)
 
 
-def _eraser_indices(*words: Iterable) -> set[int]:
-    return {sym.index for word in words for sym in word
-            if type(sym) is Eraser}
-
-
 def _single_kind(*words: Iterable) -> int:
-    kinds = _eraser_indices(*words)
+    kinds = [eraser.index for eraser in _erasers(*words)]
     if len(kinds) > 1:
         raise MalformedInput(
-            f"word mixes eraser kinds {sorted(kinds)}, expected one")
-    return kinds.pop() if kinds else 1
+            f"word mixes eraser kinds {kinds}, expected one")
+    return kinds[0] if kinds else 1
 
 
 def erase(word: StagedWord) -> EvalOutcome:
@@ -215,7 +235,8 @@ def erase(word: StagedWord) -> EvalOutcome:
     return staged_erase(word, _single_kind(word))
 
 
-def _erase_up_stage(x: UPWord, active: int) -> EvalOutcome:
+def _erase_up_stage(x: UPWord, index: int) -> EvalOutcome:
+    active = Eraser(index)
     starved, base = _pass_profile(x.prefix, active)
     dig, pushed = _pass_profile(x.period, active)
     # the first period digs deepest: each later one digs into the push
@@ -239,12 +260,11 @@ def erase_up(x: UPWord) -> EvalOutcome:
     return _erase_up_stage(x, _single_kind(x.prefix, x.period))
 
 
-def _check_stages(used: set[int], stages: int) -> None:
+def _check_stages(top: int, stages: int) -> None:
     """Reject a stage count below 1 or an eraser index above it, given
-    the eraser indices a word uses."""
+    the top eraser index of a word (0 for none)."""
     if stages < 1:
         raise ValueError("stage count must be >= 1")
-    top = max(used, default=0)
     if top > stages:
         raise MalformedInput(
             f"eraser index {top} exceeds stage bound {stages}")
@@ -252,13 +272,12 @@ def _check_stages(used: set[int], stages: int) -> None:
 
 def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
     """Run passes for stages 1..stages over a finite word."""
-    kinds = _kinds(word)
-    used = set(kinds) - {0}
-    _check_stages(used, stages)
-    alive = _pipeline(kinds, used)
+    erasers = _erasers(word)
+    _check_stages(erasers[-1].index if erasers else 0, stages)
+    alive = _stages(word, erasers)
     if alive is None:
         return EvalOutcome.undefined()
-    return EvalOutcome.finite(tuple(map(word.__getitem__, alive)))
+    return EvalOutcome.finite(tuple(alive))
 
 
 def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
@@ -272,9 +291,9 @@ def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
     same way at every such stage, so only stage 1 (it normalizes x), the
     stages of the erasers in x and, when needed, the last stage run.
     """
-    used = _eraser_indices(x.prefix, x.period)
-    _check_stages(used, stages)
-    run = sorted(used | {1})
+    used = [eraser.index for eraser in _erasers(x.prefix, x.period)]
+    _check_stages(used[-1] if used else 0, stages)
+    run = sorted({1, *used})
     if run[-1] < stages:
         run.append(stages)
     up = x

@@ -29,8 +29,7 @@ from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
 from itertools import accumulate, chain, compress, count, product, repeat
 
-from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
-                    up_prefix)
+from .words import MalformedInput, UPWord, parse_binary, parse_coded, up_prefix
 from .eraser import _pipeline, staged_erase_up
 from .coding import _LETTERS, _stage_one_kinds, _tokenize, decode_up, encode
 from .staged import _vanishing_rows
@@ -363,7 +362,7 @@ def _staged_steps(p: int, room: int, depth: int) -> list:
     if stops and room:
         steps.append(("a", (0, depth)))
     for j in range(1, min(p, room - 1) + 1):
-        code = encode((Eraser(j),))
+        code = "a" + "b" * j + "a"
         if stops:
             steps.append((code[:-1], (j, depth)))
         step = 1 if j > 1 else -1  # only an index-1 eraser pops

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator
-from functools import lru_cache
 from itertools import chain, product
 
 from .words import Eraser, MalformedInput, StagedWord
@@ -93,16 +92,15 @@ def _vanishing_rows(top: int, cost: Callable, budget: int) -> list[dict]:
     two the word still vanishes, by the same argument, and holds no index
     below j.  That pair is the inserted one, so each word is made once.
     """
-    make = lru_cache(maxsize=None)(Eraser)  # the words share one per index
     rows = [{(): top + 1}] if budget >= 0 else []
     for m in range(1, budget + 1):
         row: dict[StagedWord, int] = {}
         for j in range(1, top + 1):  # erasers made lazily: top may be huge
-            eraser = make(j)
+            eraser = Eraser(j)
             rest = m - cost(eraser)
             if rest < 1:  # no room left for the erased symbol
                 break
-            for x in chain((0, 1), map(make, range(j + 1, top + 1))):
+            for x in chain((0, 1), map(Eraser, range(j + 1, top + 1))):
                 if cost(x) > rest:
                     break
                 for w, low in rows[rest - cost(x)].items():

@@ -23,8 +23,10 @@ infinite word ``<prefix>|<period>``, e.g. ``|01`` or ``1 1|E1 0``
 
 from __future__ import annotations
 
+import _thread
 import re
 from collections import namedtuple
+from weakref import WeakValueDictionary
 
 ALPHA = "a"
 BETA = "b"
@@ -52,24 +54,34 @@ class Eraser:
     During stage j only ``Eraser(j)`` is active; it may erase a letter or
     an eraser of strictly larger index, never one of its own kind.
 
-    Immutable, and equal only to an eraser of the same index.  Not a
-    tuple: erasers sit inside staged words, which are tuples, so
-    ``Eraser(1)`` must differ from ``(1,)``.
+    ``Eraser(j)`` returns the one live eraser of index j, so equality and
+    hashing are by identity, at C speed.  The index must be exactly an
+    int: ``1.0`` or ``True`` would otherwise stand in the table for 1.
+    Immutable.  Not a tuple: erasers sit inside staged words, which are
+    tuples, so ``Eraser(1)`` must differ from ``(1,)``.
 
-    Final: equality already requires the exact class, and the loops over
-    staged words tell an eraser from a letter by ``type(sym) is Eraser``,
-    which a subclass would fail.
+    Final: the loops over staged words tell an eraser from a letter by
+    ``type(sym) is Eraser``, which a subclass would fail.
     """
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "__weakref__")
 
     def __init_subclass__(cls, **kwargs):
         raise TypeError("Eraser cannot be subclassed")
 
-    def __init__(self, index: int):
-        if index < 1:
-            raise MalformedInput(f"eraser index must be >= 1, got {index}")
-        object.__setattr__(self, "index", index)
+    def __new__(cls, index: int):
+        if type(index) is not int:
+            raise TypeError(f"eraser index must be an int, got {index!r}")
+        eraser = _LIVE.get(index)
+        if eraser is None:
+            if index < 1:
+                raise MalformedInput(f"eraser index must be >= 1, got {index}")
+            with _MAKING:  # so that two threads never make two of one index
+                eraser = _LIVE.get(index)
+                if eraser is None:
+                    eraser = _LIVE[index] = object.__new__(cls)
+                    object.__setattr__(eraser, "index", index)
+        return eraser
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,20 +89,16 @@ class Eraser:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.index,))
-
     def __repr__(self):
         return f"Eraser(index={self.index!r})"
 
     def __reduce__(self):
         return Eraser, (self.index,)
 
+
+# the live eraser of each index, kept only while something else holds it
+_LIVE: WeakValueDictionary[int, Eraser] = WeakValueDictionary()
+_MAKING = _thread.allocate_lock()
 
 StagedWord = tuple
 # a finite word of either universe
@@ -122,22 +130,19 @@ def parse_binary(text: str) -> str:
 
 def parse_staged(text: str) -> StagedWord:
     """Parse whitespace separated tokens ``0 | 1 | E<j>`` into a staged word."""
+    symbol = {"0": 0, "1": 1}  # each distinct token is read once
     symbols = []
     for m in re.finditer(r"\S+", text):
         tok = m.group()
-        if tok == "0":
-            symbols.append(0)
-        elif tok == "1":
-            symbols.append(1)
-        elif _STAGED_TOKEN.match(tok):
+        if tok not in symbol:
+            if not _STAGED_TOKEN.match(tok):
+                raise MalformedInput(f"unexpected token {tok!r}", m.start() + 1)
             try:  # int() refuses more digits than Python's limit allows
-                index = int(tok[1:])
+                symbol[tok] = Eraser(int(tok[1:]))
             except ValueError:
                 raise MalformedInput("eraser index has too many digits",
                                      m.start() + 1) from None
-            symbols.append(Eraser(index))
-        else:
-            raise MalformedInput(f"unexpected token {tok!r}", m.start() + 1)
+        symbols.append(symbol[tok])
     return tuple(symbols)
 
 

@@ -50,13 +50,13 @@ def test_decode_examples():
 
 def test_decode_builds_one_eraser_per_distinct_index(monkeypatch):
     built = []
-    init = Eraser.__init__
+    new = Eraser.__new__
 
-    def counting_init(self, index):
+    def counting_new(cls, index):
         built.append(index)
-        init(self, index)
+        return new(cls, index)
 
-    monkeypatch.setattr(Eraser, "__init__", counting_init)
+    monkeypatch.setattr(Eraser, "__new__", counting_new)
     # 160,000 codes over three indices, then a dangling code
     res = decode("0aba1abba" * 40_000 + "abbba" * 80_000 + "ab")
     assert sorted(built) == [1, 2, 3]

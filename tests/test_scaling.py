@@ -26,9 +26,11 @@ from eraserlang import (
     UPWord,
     decode,
     factorize,
+    format_staged,
     is_factor,
     lasso_member,
     pairing_consistent,
+    parse_staged,
     staged_erase,
     vanishes,
     vanishes_by_grammar,
@@ -127,6 +129,16 @@ def test_coded_queries_hold_one_list_per_word():
                         (vanishes_coded, text[:-1])):
         tokens = _peak_bytes(coding._tokenize, word)
         assert _peak_bytes(query, word) <= 1.1 * tokens, query.__name__
+
+
+def test_staged_evaluation_holds_symbols_not_positions():
+    # the word tuple alone is 800,000 bytes; a stage stacks the symbols
+    # themselves and makes no object per symbol
+    word = (0, E2, 1, E1) * 25_000 + (1,)
+    assert _peak_bytes(partial(staged_erase, stages=2), word) < 800_000
+    assert _peak_bytes(partial(vanishes, stages=2), word[:-1]) < 800_000
+    # the parser holds one eraser per index, not one per token
+    assert _peak_bytes(parse_staged, format_staged(word)) < 2_000_000
 
 
 def test_viable_prefix_reads_one_character_per_token():

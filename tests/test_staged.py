@@ -95,7 +95,7 @@ def test_end_symbol_refusal_runs_no_pass(monkeypatch):
     def no_pass(*args):
         raise AssertionError("the pipeline ran")
 
-    monkeypatch.setattr("eraserlang.eraser._pipeline", no_pass)
+    monkeypatch.setattr("eraserlang.eraser._stages", no_pass)
     body = (0, E2, 0, E1) * 10 ** 5
     for word in [body + (E2, 1), (E1,) + body + (E2,)]:
         assert len(word) % 2 == 0

@@ -1,6 +1,10 @@
 import copy
+import gc
 import math
 import pickle
+import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -10,6 +14,7 @@ from eraserlang import (
     Eraser,
     MalformedInput,
     UPWord,
+    decode,
     encode,
     format_staged,
     format_up,
@@ -19,11 +24,14 @@ from eraserlang import (
     parse_up,
     up_equal,
     up_normalize,
+    min_stages,
+    staged_erase,
     up_prefix,
     vanishes,
 )
+from eraserlang import words
 
-from oracles import primitive_root, take
+from oracles import min_stages_brute, pipeline, primitive_root, take
 
 coded_words = st.text(alphabet="01ab", max_size=8)
 coded_periods = st.text(alphabet="01ab", min_size=1, max_size=6)
@@ -99,6 +107,81 @@ def test_parse_staged_rejects_an_index_past_the_digit_limit():
 def test_eraser_index_must_be_positive():
     with pytest.raises(MalformedInput):
         Eraser(0)
+
+
+def test_eraser_index_must_be_exactly_an_int():
+    # 1.0 and True hash as 1, so either would find the eraser of index 1
+    for index in (1.0, True, "1"):
+        with pytest.raises(TypeError):
+            Eraser(index)
+
+
+def _eraser_routes(j):
+    """Eraser j reached by every route that makes or copies one."""
+    e = Eraser(j)
+    return [e, Eraser(j), parse_staged(f"E{j}")[0],
+            decode("a" + "b" * j + "a").symbols[0],
+            pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)]
+
+
+def test_every_route_returns_the_live_eraser():
+    for j in (1, 2, 7, 5000):
+        first, *rest = _eraser_routes(j)
+        assert all(e is first for e in rest)
+        assert first.index == j and type(first) is Eraser
+
+
+def test_eraser_table_holds_no_eraser_alive():
+    gc.collect()
+    before = len(words._LIVE)
+    word = parse_staged(" ".join(f"E{j}"
+                                 for j in range(10 ** 6, 10 ** 6 + 10 ** 4)))
+    assert len(words._LIVE) >= before + 10 ** 4
+    del word
+    gc.collect()
+    assert len(words._LIVE) == before
+
+
+def test_threads_making_one_index_share_one_eraser():
+    indices = range(3 * 10 ** 6, 3 * 10 ** 6 + 2000)  # held by no other code
+    start = threading.Barrier(8, timeout=60)
+    made = [None] * 8
+
+    def make(t):
+        start.wait()
+        made[t] = [Eraser(j) for j in indices]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often inside Eraser()
+    try:
+        threads = [threading.Thread(target=make, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for row in made[1:]:
+        assert all(a is b for a, b in zip(row, made[0], strict=True))
+
+
+def test_erasers_of_every_route_evaluate_alike():
+    # each index drawn from a different route at each position
+    routes = {j: _eraser_routes(j) for j in (1, 2, 3)}
+    rng = random.Random(34)
+    found = set()
+    for _ in range(3000):
+        word = tuple(rng.choice(routes[sym]) if sym else rng.randrange(2)
+                     for sym in rng.choices((0, 1, 2, 3), (4, 3, 2, 1),
+                                            k=rng.randrange(1, 15)))
+        want = pipeline(word, 3)
+        out = staged_erase(word, 3)
+        assert out.word == want and out.is_undefined == (want is None)
+        assert vanishes(word, 3) == (want == ())
+        assert min_stages(word) == min_stages_brute(word)
+        found.add(min_stages(word))
+    assert found == {None, 1, 2, 3}
 
 
 def test_eraser_is_final_and_copies_stay_erasers():
