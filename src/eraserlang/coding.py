@@ -11,12 +11,13 @@ after the match is where the text goes wrong.  Only ``decode`` turns
 that into a MalformedInput, so a coded query that merely rejects
 (``factorize``, ``viable_prefix``, ``vanishes_coded``) builds and
 raises nothing.  Only this module splits coded text into tokens, and
-only ``decode`` builds symbols: the other coded queries hand their
-tokens to the stage engine as they are, since codes sort in index order
-as strings.  The one other reader of coded text is the order-p block
-scanner of the intersection identity check in ``omega``, which reads a
-letter at a time: that check compares it against encoded tokens, so it
-shares no rule with them.
+only ``decode`` builds symbols: the other coded queries hand the stage
+engine their tokens, each code mapped to one copy of itself by
+``_codes``, which also lists those copies in stage order.  The one
+other reader of coded text is the order-p block scanner of the
+intersection identity check in ``omega``, which reads a letter at a
+time: that check compares it against encoded tokens, so it shares no
+rule with them.
 
 Text that comes in chunks splits the same way chunk by chunk: each
 chunk is read behind the code the chunk before left open.  That is how
@@ -53,12 +54,21 @@ _SCAN = re.compile(f"(?:{_TOKEN.pattern})*+((?:ab*)?)")
 
 
 def encode(word: StagedWord) -> str:
+    """The coded text of a staged word.
+
+    Raises MalformedInput on an eraser index too large for any string to
+    hold its code.
+    """
     parts = []
-    for sym in word:
-        if type(sym) is Eraser:
-            parts.append(ALPHA + BETA * sym.index + ALPHA)
-        else:
-            parts.append(str(sym))
+    try:
+        for sym in word:
+            if type(sym) is Eraser:
+                parts.append(ALPHA + BETA * sym.index + ALPHA)
+            else:
+                parts.append(str(sym))
+    except OverflowError:
+        raise MalformedInput(
+            f"eraser index {sym.index} is too large to encode") from None
     return "".join(parts)
 
 
@@ -83,6 +93,18 @@ def _tokenize(text: str) -> tuple[list[str], str] | tuple[None, re.Match]:
     if scan.end() < len(text):
         return None, scan
     return _TOKEN.findall(text, 0, scan.start(1)), scan[1]
+
+
+def _codes(tokens: list[str]) -> dict[str, str]:
+    """One copy of each distinct code among the tokens, keyed by itself,
+    in stage order: a stage tells its active code by identity once each
+    code token is mapped to its copy.
+
+    The codes ``a b^j a`` sort as strings in index order, since at
+    position j + 1 an ``a`` comes before a ``b``, so their sort order is
+    the stage order.
+    """
+    return {code: code for code in sorted(set(tokens) - _LETTERS)}
 
 
 def _stage_one_kinds(text: str) -> tuple[str, str] | tuple[None, None]:

@@ -13,15 +13,16 @@ occur at stage j since earlier stages consumed them.
 
 Each job has one pass.  ``_pass_profile`` is the single-stage profile
 of an ultimately periodic word, over its prefix and period alike;
-``_stages`` runs every stage over a finite staged word and returns the
-survivors; ``_pipeline`` runs every stage over coded tokens and returns
-the survivors' positions (for factor cuts and the coded verdicts);
-``_vanishing_top`` gives only the verdict "erased to nothing" in one
-pass over the symbols: it counts stack depth while the word shows one
-eraser index, only records a starved eraser (a smaller index further
-on would run first and might pop it), and hands the word to
-``_stages`` as soon as a second index appears.  Erasers are interned
-(see words.Eraser), so a stage tells its active eraser by identity.
+``_stages`` runs every stage over a finite word and returns the
+survivors.  It serves the staged words and the coded queries alike,
+since it compares each symbol with the stage's active one by identity
+and reads nothing else of it: erasers are interned (see words.Eraser),
+and a coded query maps each code token to one copy of its code (see
+coding._codes).  ``_vanishing_top`` gives only the verdict "erased to
+nothing" in one pass over the symbols: it counts stack depth while the
+word shows one eraser index, only records a starved eraser (a smaller
+index further on would run first and might pop it), and hands the word
+to ``_stages`` as soon as a second index appears.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -106,16 +107,20 @@ def _erasers(*words: Iterable) -> list[Eraser]:
                   key=attrgetter("index"))
 
 
-def _stages(word: Sequence, erasers: list[Eraser]) -> Sequence | None:
-    """Run the stages of erasers, in order, over a finite word: the
-    symbols that survive (a list, or word itself when no stage runs),
-    or None when an eraser starves.
+def _stages(word: Iterable, actives: list) -> Iterable | None:
+    """Run one stage per active symbol, in order, over a finite word:
+    the symbols that survive (a list, or word itself when no stage
+    runs), or None when an active symbol starves.
 
-    Every other stage has no active eraser and passes its word through
-    unchanged, so erasers should be those of the word (see _erasers).
+    A stage pops for each occurrence of its active symbol, told by
+    identity, and pushes every other symbol, so the actives are the
+    interned erasers of a staged word (see _erasers) or the one copy of
+    each code of a coded one.  A stage whose active symbol is not in the
+    word passes it through unchanged, so only those that occur need to
+    run.
     """
     alive = word
-    for active in erasers:
+    for active in actives:
         stack: list = []
         push, pop = stack.append, stack.pop
         for sym in alive:
@@ -127,32 +132,6 @@ def _stages(word: Sequence, erasers: list[Eraser]) -> Sequence | None:
                 return None
         alive = stack
     return alive
-
-
-def _pipeline(tokens: list[str], used: set[str]) -> list[int] | None:
-    """Run every stage over a word given by its coded tokens (see
-    coding._tokenize): the positions of the tokens that survive, in
-    order, or None when an eraser starves.
-
-    Only the stages of used, the codes of the erasers the word uses
-    (its tokens less the letters), run: every other stage has no active
-    eraser and passes its word through unchanged.  The codes ``a b^j
-    a`` sort as strings in index order, since at position j + 1 an
-    ``a`` comes before a ``b``, so their sort order is the stage order.
-    """
-    alive: Iterable[int] = range(len(tokens))
-    for active in sorted(used):
-        stack: list[int] = []
-        push, pop = stack.append, stack.pop
-        for i in alive:
-            if tokens[i] != active:
-                push(i)
-            elif stack:
-                pop()
-            else:
-                return None
-        alive = stack
-    return list(alive)
 
 
 def _vanishing_top(word: Sequence) -> int | None:

@@ -30,25 +30,35 @@ from functools import cache, lru_cache, partial
 from itertools import accumulate, chain, compress, count, product, repeat
 
 from .words import MalformedInput, UPWord, parse_binary, parse_coded, up_prefix
-from .eraser import _pipeline, staged_erase_up
-from .coding import _LETTERS, _stage_one_kinds, _tokenize, decode_up, encode
+from .eraser import _stages, staged_erase_up
+from .coding import _codes, _stage_one_kinds, _tokenize, decode_up, encode
 from .staged import _vanishing_rows
 
 
 # ---------------------------------------------------------------- pads
 
+def _coded(tokens: list[str], letters: Iterable) -> tuple[Iterator, list]:
+    """The arguments of ``_stages`` for a word given by its tokens: each
+    code token as the one copy of its code, each letter token as the
+    matching item of letters, lazily; then the codes in stage order."""
+    codes = _codes(tokens)
+    return map(codes.get, tokens, letters), list(codes)
+
+
 def vanishes_coded(word: str) -> bool:
     """Does the word decode to a staged word that erases to nothing?
 
-    The stage pipeline runs on the tokens themselves, and no symbol is
-    built.  Every stage removes an even number of symbols, so an odd
-    token count is refused before any stage runs.
+    The stages run on the tokens themselves, each code mapped to one
+    copy of itself, and no symbol is built.  Every stage removes an even
+    number of symbols, so an odd token count is refused before any stage
+    runs.
     """
     tokens, dangling = _tokenize(word)
     # malformed, a code left open, or odd
     if tokens is None or dangling or len(tokens) % 2:
         return False
-    return _pipeline(tokens, set(tokens) - _LETTERS) == []
+    # with no code no stage runs, and only the empty word vanishes
+    return not tokens or _stages(*_coded(tokens, tokens)) == []
 
 
 # ------------------------------------------------------------- factors
@@ -67,12 +77,13 @@ _NO_PARSE = Factorization(0, None)
 
 
 def factorize(word: str) -> Factorization:
-    """Factor decomposition read off one pipeline run over the word's tokens.
+    """Factor decomposition read off one run of the stages over the word's
+    tokens.
 
     In a factor stream each pad erases itself at every stage without
     reaching past the letter before it: a pass pops only what the pad
     itself pushed, so the pad's stages run as if it stood alone.  The
-    letters that survive the whole pipeline are therefore exactly the
+    letters that survive every stage are therefore exactly the
     separators, and conversely a surviving letter shields everything to
     its left, so the stretches between survivors are pads.  The word is
     a stream iff no eraser starves, every survivor is a letter and the
@@ -89,7 +100,8 @@ def factorize(word: str) -> Factorization:
     tokens = _tokenize(word)[0]
     if tokens is None:
         return _NO_PARSE
-    alive = _pipeline(tokens, set(tokens) - _LETTERS)
+    # each letter runs as its position, so the survivors are positions
+    alive = _stages(*_coded(tokens, count()))
     if alive is None:  # an eraser starved
         return _NO_PARSE
     # a cut ends each surviving 1, read off the token lengths
@@ -113,11 +125,11 @@ def is_factor(word: str) -> bool:
     tokens = _tokenize(word)[0]
     if tokens is None:
         return False
-    alive = _pipeline(tokens, set(tokens) - _LETTERS)
+    alive = _stages(*_coded(tokens, tokens))
     if alive is None:
         return False
-    survivors = "".join(map(tokens.__getitem__, alive))
-    return survivors == "0" * (len(alive) - 1) + "1"
+    survivors = "".join(alive)
+    return survivors == "0" * (len(survivors) - 1) + "1"
 
 
 # ------------------------------------------------------ viable prefixes

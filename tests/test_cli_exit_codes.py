@@ -74,6 +74,18 @@ def test_a_negative_count_exits_2(capsys, argv):
     assert err.endswith(": must be at least 0\n")
 
 
+# ------------------------------------------------- an index past a string
+
+# Python reads the index, but no string is long enough to hold its code
+@pytest.mark.parametrize("argv", [
+    ["encode", "0 E99999999999999999999"],
+    ["encode", "--up", "|0 E99999999999999999999"],
+])
+def test_an_index_too_large_to_encode_exits_2(capsys, argv):
+    assert run(capsys, *argv) == (
+        2, "", "eraser index 99999999999999999999 is too large to encode\n")
+
+
 # -------------------------------------------------------- any word, 0 or 2
 
 # the last token has more digits than Python reads into an int

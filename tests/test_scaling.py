@@ -131,6 +131,18 @@ def test_coded_queries_hold_one_list_per_word():
         assert _peak_bytes(query, word) <= 1.1 * tokens, query.__name__
 
 
+def test_coded_stages_make_no_object_per_code():
+    # three indices, so three stages run; a stage stacks each code token
+    # as the one copy of its code, and each letter as its token, or as
+    # its position in factorize, whose cuts need it (1.5x with positions
+    # for every token)
+    text = "0abbbaabbaaba" * 30_000 + "1"
+    for query, word in ((factorize, text), (is_factor, text),
+                        (vanishes_coded, text[:-1])):
+        tokens = _peak_bytes(coding._tokenize, word)
+        assert _peak_bytes(query, word) <= 1.4 * tokens, query.__name__
+
+
 def test_staged_evaluation_holds_symbols_not_positions():
     # the word tuple alone is 800,000 bytes; a stage stacks the symbols
     # themselves and makes no object per symbol
