@@ -11,18 +11,20 @@ j the active eraser is Eraser(j); letters and erasers of larger index
 are ordinary erasable material for it.  Erasers of smaller index cannot
 occur at stage j since earlier stages consumed them.
 
-Each job has one pass.  ``_pass_profile`` is the single-stage profile
-of an ultimately periodic word, over its prefix and period alike;
-``_stages`` runs every stage over a finite word and returns the
-survivors.  It serves the staged words and the coded queries alike,
-since it compares each symbol with the stage's active one by identity
-and reads nothing else of it: erasers are interned (see words.Eraser),
-and a coded query maps each code token to one copy of its code (see
-coding._codes).  ``_vanishing_top`` gives only the verdict "erased to
-nothing" in one pass over the symbols: it counts stack depth while the
-word shows one eraser index, only records a starved eraser (a smaller
-index further on would run first and might pop it), and hands the word
-to ``_stages`` as soon as a second index appears.
+Each job has one pass.  ``_stages`` runs every stage over a finite
+word and returns the survivors, or None when an eraser starves.  It
+serves the staged words, the prefix of an ultimately periodic word (one
+stage at a time) and the coded queries alike, since it compares each
+symbol with the stage's active one by identity and reads nothing else
+of it: erasers are interned (see words.Eraser), and a coded query maps
+each code token to one copy of its code (see coding._codes).
+``_pass_profile`` profiles periods only, whose pops may reach below
+the stack level a period starts at.  ``_vanishing_top`` gives only the
+verdict "erased to nothing" in one pass over the symbols: it counts
+stack depth while the word shows one eraser index, only records a
+starved eraser (a smaller index further on would run first and might
+pop it), and hands the word to ``_stages`` as soon as a second index
+appears.
 ``certificate_holds`` keeps a literal replay of its own, so that the
 checker shares no code with the evaluator whose certificates it checks.
 
@@ -117,19 +119,26 @@ def _stages(word: Iterable, actives: list) -> Iterable | None:
     interned erasers of a staged word (see _erasers) or the one copy of
     each code of a coded one.  A stage whose active symbol is not in the
     word passes it through unchanged, so only those that occur need to
-    run.
+    run.  One active symbol runs the prefix of an ultimately periodic
+    word, where None is exactly a starving prefix.
+
+    The loop keeps the form CPython 3.11 specializes: ``stack.append``
+    and ``stack.pop`` called as methods, not through hoisted bound
+    methods, and a ``try`` around the pop alone, so that no test of the
+    stack runs on each active symbol and no IndexError raised by the
+    input is taken for starvation.
     """
     alive = word
     for active in actives:
         stack: list = []
-        push, pop = stack.append, stack.pop
         for sym in alive:
             if sym is not active:
-                push(sym)
-            elif stack:
-                pop()
+                stack.append(sym)
             else:
-                return None
+                try:
+                    stack.pop()
+                except IndexError:
+                    return None
         alive = stack
     return alive
 
@@ -180,17 +189,17 @@ def _vanishing_top(word: Sequence) -> int | None:
     return None if starved or depth else top
 
 
-def _pass_profile(word: Iterable, active: Eraser) -> tuple[int, tuple]:
-    """Net effect (dig, pushed) of one pass over a word on a deep stack.
+def _pass_profile(period: Iterable, active: Eraser) -> tuple[int, tuple]:
+    """Net effect (dig, pushed) of one pass over a period on a deep stack.
 
     dig counts pops that reach below the stack level the pass started at;
-    both values depend only on the word, never on the stack content.  On
-    an empty stack the pass is defined iff dig is 0, and pushed is then
-    the surviving word.
+    both values depend only on the period, never on the stack content.
+    Only periods are profiled: a prefix starts on an empty stack, where
+    any dig starves, so ``_stages`` runs it.
     """
     pushed = []
     dig = 0
-    for sym in word:
+    for sym in period:
         if sym is active:
             if pushed:
                 pushed.pop()
@@ -201,28 +210,37 @@ def _pass_profile(word: Iterable, active: Eraser) -> tuple[int, tuple]:
     return dig, tuple(pushed)
 
 
-def _single_kind(*words: Iterable) -> int:
-    kinds = [eraser.index for eraser in _erasers(*words)]
-    if len(kinds) > 1:
-        raise MalformedInput(
-            f"word mixes eraser kinds {kinds}, expected one")
-    return kinds[0] if kinds else 1
+def _single_kind(*words: Iterable) -> Eraser:
+    """The one eraser kind of the words, Eraser(1) when they have none."""
+    erasers = _erasers(*words)
+    if len(erasers) > 1:
+        raise MalformedInput(f"word mixes eraser kinds "
+                             f"{[e.index for e in erasers]}, expected one")
+    return erasers[0] if erasers else Eraser(1)
+
+
+def _finite_outcome(alive: Iterable | None) -> EvalOutcome:
+    """The outcome of a finite word whose stages left alive."""
+    if alive is None:
+        return EvalOutcome.undefined()
+    return EvalOutcome.finite(tuple(alive))
 
 
 def erase(word: StagedWord) -> EvalOutcome:
     """Evaluate a finite word that uses at most one eraser kind."""
-    return staged_erase(word, _single_kind(word))
+    return _finite_outcome(_stages(word, [_single_kind(word)]))
 
 
 def _erase_up_stage(x: UPWord, index: int) -> EvalOutcome:
     active = Eraser(index)
-    starved, base = _pass_profile(x.prefix, active)
+    body = _stages(x.prefix, [active])
     dig, pushed = _pass_profile(x.period, active)
     # the first period digs deepest: each later one digs into the push
     # of the one before it, and a push shorter than dig runs dry
-    if starved or len(base) < dig or len(pushed) < dig:
+    if body is None or len(body) < dig or len(pushed) < dig:
         return EvalOutcome.undefined()
-    body = base[:len(base) - dig]
+    del body[len(body) - dig:]
+    body = tuple(body)  # drops the stage's list: one copy stays alive
     if len(pushed) == dig:
         return EvalOutcome.finite(body)
     cert = LoopCertificate(warmup_periods=0, loop_periods=1,
@@ -236,7 +254,7 @@ def erase_up(x: UPWord) -> EvalOutcome:
 
     Infinite outcomes carry a LoopCertificate and a normalized UPWord.
     """
-    return _erase_up_stage(x, _single_kind(x.prefix, x.period))
+    return _erase_up_stage(x, _single_kind(x.prefix, x.period).index)
 
 
 def _check_stages(top: int, stages: int) -> None:
@@ -253,10 +271,7 @@ def staged_erase(word: StagedWord, stages: int) -> EvalOutcome:
     """Run passes for stages 1..stages over a finite word."""
     erasers = _erasers(word)
     _check_stages(erasers[-1].index if erasers else 0, stages)
-    alive = _stages(word, erasers)
-    if alive is None:
-        return EvalOutcome.undefined()
-    return EvalOutcome.finite(tuple(alive))
+    return _finite_outcome(_stages(word, erasers))
 
 
 def staged_erase_up(x: UPWord, stages: int) -> EvalOutcome:
@@ -303,7 +318,7 @@ def certificate_holds(x: UPWord, cert: LoopCertificate) -> bool:
         if n == cert.warmup_periods + 1:
             start = low = len(stack)
         for sym in x.period if n else x.prefix:
-            if type(sym) is Eraser and sym.index == active:
+            if sym is active:
                 if not stack:
                     return False
                 stack.pop()

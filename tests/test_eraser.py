@@ -51,8 +51,9 @@ def test_erase_uses_the_words_own_eraser_kind():
 
 
 def test_erase_rejects_mixed_kinds():
-    with pytest.raises(MalformedInput):
-        erase((0, Eraser(1), Eraser(2)))
+    text = r"^word mixes eraser kinds \[1, 2\], expected one$"
+    with pytest.raises(MalformedInput, match=text):
+        erase((0, Eraser(2), Eraser(1)))
 
 
 @given(st.integers(1, 3).flatmap(lambda j: st.tuples(
@@ -224,6 +225,29 @@ def test_stage_order_is_low_index_first():
     assert staged_erase(parse_staged("0 E1 E2"), 2).is_undefined
 
 
+def test_staged_erase_matches_the_pipeline_on_every_short_word():
+    alphabet = [0, 1, Eraser(1), Eraser(2), Eraser(3)]
+    for n in range(7):
+        for word in product(alphabet, repeat=n):
+            out = staged_erase(word, 3)
+            ref = pipeline(word, 3)
+            assert (out.word == ref if ref is not None
+                    else out.is_undefined), word
+
+
+@pytest.mark.parametrize("text, stage_three", [
+    # stage 1 pops 0 and E2, leaving E3 first, on an empty stack
+    ("E3 1 0 E2 E1 E1", ("E3", "1")),
+    # stage 3 pops 0 and then finds nothing for its last eraser
+    ("0 1 E2 E3 E1 E3 E3", ("0", "E3", "E3")),
+])
+def test_staged_erase_starves_at_either_end_of_stage_three(text, stage_three):
+    word = parse_staged(text)
+    assert pipeline(word, 2) == parse_staged(" ".join(stage_three))
+    assert pipeline(word, 3) is None
+    assert staged_erase(word, 3).is_undefined
+
+
 @given(st.lists(st.sampled_from(
     [0, 1, Eraser(1), Eraser(2), Eraser(3)]), max_size=9))
 def test_staged_finite_results_have_no_erasers(symbols):
@@ -251,21 +275,54 @@ def test_staged_erase_up_runs_every_stage():
     assert staged_erase_up(sup("1|0 E2 E1 E1"), 2).word == (1,)
 
 
+def settled_stage_one(x, periods=30, window=20):
+    """What stage 1 keeps for good of the first symbols of x, cut after
+    at least ``periods`` periods where its stack never gets lower again
+    within ``window`` more; None when stage 1 starves on them.
+
+    A cut at a period's end can leave an E2 on top that the next
+    period's E1 pops: 0 (E1 E2)^omega evaluates to the empty word, yet
+    stage 2 starves on every such truncation.
+    """
+    word = take(x, len(x.prefix) + (periods + window) * len(x.period))
+    heights = []
+    for t in range(len(word)):
+        stack = single_pass(word[:t + 1])
+        if stack is None:
+            return None
+        heights.append(len(stack))
+    start = len(x.prefix) + periods * len(x.period)
+    cut = next(t for t in range(start, len(word))
+               if heights[t] == min(heights[t:]))
+    return single_pass(word[:cut + 1])
+
+
+def test_settled_stage_one_cuts_past_a_passing_eraser():
+    x = sup("0|E1 E2")
+    assert staged_erase_up(x, 2).word == ()
+    assert pipeline(take(x, 41), 2) is None
+    assert single_pass(settled_stage_one(x), 2) == ()
+
+
 def test_staged_erase_up_matches_truncations():
     rng = random.Random(11)
     alphabet = [0, 1, Eraser(1), Eraser(2)]
     for _ in range(100):
         period = tuple(rng.choice(alphabet)
                        for _ in range(rng.randrange(1, 5)))
-        x = UPWord((), period)
-        out = staged_erase_up(x, 2)
-        trunc = take(x, 40 * len(period))
-        ref = pipeline(trunc, 2)
-        if out.is_undefined:
-            assert ref is None
-        elif out.is_finite:
-            assert ref is not None and ref[:len(out.word)] == out.word
-        else:
-            assert ref is not None
-            probe = min(len(ref), 10)
-            assert ref[:probe] == take(out.up, probe)
+        # the empty prefix, then prefixes of 1 to 4 symbols, which
+        # stage 1 runs as a finite word
+        for m in range(5):
+            x = UPWord(tuple(rng.choice(alphabet) for _ in range(m)),
+                       period)
+            out = staged_erase_up(x, 2)
+            kept = settled_stage_one(x)
+            ref = None if kept is None else single_pass(kept, 2)
+            if out.is_undefined:
+                assert ref is None, x
+            elif out.is_finite:
+                assert ref is not None and ref[:len(out.word)] == out.word
+            else:
+                assert ref is not None
+                probe = min(len(ref), 10)
+                assert ref[:probe] == take(out.up, probe), x

@@ -32,6 +32,7 @@ from eraserlang import (
     pairing_consistent,
     parse_staged,
     staged_erase,
+    staged_erase_up,
     vanishes,
     vanishes_by_grammar,
     vanishes_coded,
@@ -151,6 +152,14 @@ def test_staged_evaluation_holds_symbols_not_positions():
     assert _peak_bytes(partial(vanishes, stages=2), word[:-1]) < 800_000
     # the parser holds one eraser per index, not one per token
     assert _peak_bytes(parse_staged, format_staged(word)) < 2_000_000
+
+
+def test_staged_up_evaluation_keeps_one_copy_of_the_prefix():
+    # stage 1 keeps 50,002 of the prefix's 100,002 symbols, a 400 kB
+    # list that becomes a tuple of the same size; the list must go as
+    # soon as the tuple stands, or stage 2 runs beside both
+    x = UPWord((0, E2, 1, E1) * 25_000 + (0, 1), (1, 0, E1))
+    assert _peak_bytes(partial(staged_erase_up, stages=2), x) <= 950_000
 
 
 def test_viable_prefix_reads_one_character_per_token():
