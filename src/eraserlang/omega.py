@@ -23,7 +23,8 @@ checkable here at desk scale:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import _thread
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
@@ -562,6 +563,18 @@ def verify_intersection_identity(p: int, n: int,
 # object a word.  A row asks for the shorter rows in increasing length,
 # each of which finds its own shorter rows built, so no call recurses
 # more than one row deep.
+#
+# _STARTS keeps where each row starts in the enumeration, one int per
+# row, each counted once from the row before.  nth_factor finds its row
+# by bisecting the starts, and factor_index adds the start to the word's
+# place in its row.  The rows are exact, so once a row is built it is
+# its own membership test: a word of that length is a factor iff the
+# bisection lands on it.  Only before its row is in the table does
+# factor_index run is_factor, so that a non-factor builds no row.
+
+_STARTS = [0]  # _STARTS[n - 1]: the number of factors shorter than n
+_GROWING = _thread.allocate_lock()
+
 
 @lru_cache(maxsize=None)
 def _pad_row(m: int) -> str:
@@ -598,25 +611,47 @@ def _row_words(row: str, n: int) -> Iterator[str]:
     return map(row.__getitem__, map(slice, starts, count(n, n)))
 
 
+def _grow_starts(n: int) -> None:
+    """Enter the start of every row up to n + 1, building the rows up to
+    n."""
+    # under the lock, so that two threads never enter a start twice
+    with _GROWING:
+        for m in range(len(_STARTS), n + 1):
+            _STARTS.append(_STARTS[-1] + len(_factor_row(m)) // m)
+
+
 def nth_factor(i: int) -> str:
-    """The i-th factor in length order, ties broken by 0 < 1 < a < b."""
+    """The i-th factor in length order, ties broken by 0 < 1 < a < b.
+
+    The row holding i is found by bisecting the row starts, once they
+    reach past i; every row holds 0^(n-1) 1, so each start is larger
+    than the one before.
+    """
     if i < 0:
         raise ValueError("index must be >= 0")
-    # skip whole rows; every row holds 0^(n-1) 1, so one holds i
-    n = 1
-    while i >= (size := len(_factor_row(n)) // n):
-        i, n = i - size, n + 1
-    return _factor_row(n)[i * n:(i + 1) * n]
+    while i >= _STARTS[-1]:
+        _grow_starts(len(_STARTS))
+    n = bisect_right(_STARTS, i)
+    at = (i - _STARTS[n - 1]) * n
+    return _factor_row(n)[at:at + n]
 
 
 def factor_index(word: str) -> int | None:
-    """Position of a factor in the enumeration, None for non-members."""
-    if not is_factor(word):
-        return None
-    row = _factor_row(n := len(word))
-    # the shorter rows, then a bisection over the offsets of this row
-    return sum(len(_factor_row(j)) // j for j in range(1, n)) + bisect_left(
-        range(0, len(row), n), word, key=lambda k: row[k:k + n])
+    """Position of a factor in the enumeration, None for non-members.
+
+    Once the word's row is built and its start entered, the row alone
+    decides: a bisection over its offsets finds where the word would
+    stand, and it is a factor iff the row holds it there.  Before that,
+    is_factor runs first, so that a non-factor builds no row.
+    """
+    # the empty word, or row n not in the table yet
+    if not 0 < (n := len(word)) < len(_STARTS):
+        if not is_factor(word):
+            return None
+        _grow_starts(n)
+    row = _factor_row(n)
+    at = bisect_left(range(0, len(row), n), word, key=lambda k: row[k:k + n])
+    return _STARTS[n - 1] + at if row[at * n:at * n + n] == word else None
 
 
 def factor_words(max_len: int) -> list[str]:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -35,7 +36,7 @@ from eraserlang import (
     words_over,
 )
 
-from eraserlang.omega import _pad_row, _row_words
+from eraserlang.omega import _STARTS, _factor_row, _pad_row, _row_words
 
 from oracles import (factors_by_filter, pipeline, vanishes_brute,
                      viable_by_extension)
@@ -326,12 +327,64 @@ def test_factor_index_inverts_nth_factor_at_every_row_boundary():
         first += size
 
 
+def _one_letter_changed(word):
+    """Every word that differs from word in exactly one letter."""
+    for at, old in enumerate(word):
+        for ch in "01ab".replace(old, ""):
+            yield word[:at] + ch + word[at + 1:]
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this tree."""
+    src = str(Path(eraserlang.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_factor_index_is_the_position_among_filtered_factors():
-    position = {w: i for i, w in enumerate(factors_by_filter(7))}
-    for n in range(8):
-        for t in product("01ab", repeat=n):
-            w = "".join(t)
-            assert factor_index(w) == position.get(w), w
+    # with rows up to 13 built and entered, the rows alone decide
+    nth_factor(1192)
+    assert len(_STARTS) > 13
+    position = {w: i for i, w in enumerate(factors_by_filter(8))}
+    for w in _coded_words(range(9)):
+        assert factor_index(w) == position.get(w), w
+    # each 13-letter factor with one letter changed, against is_factor
+    row13 = factor_words(13)[626:]
+    assert len(row13) == 567
+    for word in row13:
+        for w in _one_letter_changed(word):
+            i = factor_index(w)
+            assert (i is not None) == is_factor(w), w
+            assert i is None or nth_factor(i) == w, w
+
+
+def test_factor_index_runs_is_factor_before_a_row_is_built():
+    # a fresh interpreter, where no row is built: the non-factors come
+    # first, so each goes through is_factor with the table still empty
+    code = """if True:
+        import json, sys
+        from itertools import product
+        from eraserlang import factor_index, is_factor
+        from eraserlang.omega import _STARTS
+        words = ["".join(t) for n in range(9)
+                 for t in product("01ab", repeat=n)]
+        answers = {}
+        for w in sorted(words, key=is_factor):
+            guarded = not 0 < len(w) < len(_STARTS)
+            answers[w] = factor_index(w), guarded
+        json.dump({"answers": answers, "starts": _STARTS}, sys.stdout)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_src_env())
+    out = json.loads(done.stdout)
+    position = {w: i for i, w in enumerate(factors_by_filter(8))}
+    words = _coded_words(range(9))
+    assert sorted(out["answers"]) == sorted(words)
+    for w in words:
+        assert out["answers"][w][0] == position.get(w), w
+    # every non-factor, and the first factor of each length, ran the guard
+    guarded = sum(g for _, g in out["answers"].values())
+    assert guarded == len(words) - len(position) + 8
+    assert out["starts"] == [0, 1, 2, 3, 4, 7, 14, 27, 49]
 
 
 def test_row_sizes_are_pinned():
@@ -393,18 +446,80 @@ def test_factor_index_does_not_depend_on_call_order():
     assert len(word) == 13
     code = ("import sys; from eraserlang import factor_index; "
             "print(factor_index(sys.argv[1]))")
-    src = str(Path(eraserlang.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code, word],
                           capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=_src_env())
     assert done.stdout == f"{i}\n"
+
+
+def _kept():
+    """The factor rows, pad rows and row starts kept."""
+    return (_factor_row.cache_info().currsize,
+            _pad_row.cache_info().currsize, len(_STARTS))
 
 
 @pytest.mark.parametrize("word", ["0" * 40, "1" * 40])
 def test_factor_index_of_long_non_factors_builds_nothing(word):
+    kept = _kept()
     t0 = time.perf_counter()
     assert factor_index(word) is None
     assert time.perf_counter() - t0 < 0.1
+    assert _kept() == kept
+
+
+def test_factor_index_one_letter_past_the_built_rows_builds_nothing():
+    # rows are built from 1 up, so the longest is the number built; a
+    # factor of that length enters every built row in the table
+    m = max(_factor_row.cache_info().currsize, 13)
+    assert factor_index("0" * (m - 1) + "1") == _STARTS[m - 1]
+    assert len(_STARTS) == m + 1
+    kept = _kept()
+    for word in ("0" * (m + 1), "1" * (m + 1), "0" * (m - 1) + "11"):
+        assert factor_index(word) is None
+        assert _kept() == kept
+
+
+def test_enumeration_lookups_agree_across_threads():
+    # four threads in a fresh interpreter race to build and enter the
+    # rows up to 13, switching as often as the interpreter allows
+    code = """if True:
+        import json, random, sys, threading
+        sys.setswitchinterval(1e-6)
+        from eraserlang import factor_index, nth_factor
+        from eraserlang.omega import _STARTS
+
+        def run(seed, out):
+            order = list(range(1193))
+            random.Random(seed).shuffle(order)
+            for i in order:
+                word = nth_factor(i)
+                out.append((i, word, factor_index(word)))
+
+        outs = [[] for _ in range(4)]
+        threads = [threading.Thread(target=run, args=(seed, out),
+                                    daemon=True)
+                   for seed, out in enumerate(outs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        alive = any(t.is_alive() for t in threads)
+        json.dump({"alive": alive, "outs": outs, "starts": _STARTS},
+                  sys.stdout)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_src_env(), timeout=120)
+    out = json.loads(done.stdout)
+    assert not out["alive"]
+    sequential = [[i, nth_factor(i), factor_index(nth_factor(i))]
+                  for i in range(1193)]
+    assert all(i == j for i, _, j in sequential)
+    orders = []
+    for answers in out["outs"]:
+        assert sorted(answers) == sequential
+        orders.append([i for i, _, _ in answers])
+    assert len(set(map(tuple, orders))) == 4  # each thread its own order
+    assert out["starts"] == _STARTS[:14]
 
 
 def test_enumeration_is_length_lex_monotone():
