@@ -18,6 +18,13 @@ symbols there too: no eraser ever pops a final letter, and a leading
 Eraser(1) starves at stage 1, the first to run.  The grammar decider
 is one loop: its parse stack is always S (E S)^h, so the height h
 stands for it.
+
+The grammar decider refuses by shape as well, from the grammar alone:
+every production adds one letter and one E, so a derived word has even
+length, and a nonempty one starts with a letter and ends with an E.
+It answers such a word once one C-speed set check finds every item in
+the alphabet; the loop takes every other word, and still names a
+foreign index wherever it stands.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ from itertools import chain, product
 
 from .words import Eraser, MalformedInput, StagedWord
 from .eraser import _vanishing_top
+
+# the grammar's terminals: the two letters and its single eraser
+_TERMINALS = frozenset((0, 1, Eraser(1)))
 
 
 def vanishes_by_grammar(word: StagedWord) -> bool:
@@ -44,7 +54,23 @@ def vanishes_by_grammar(word: StagedWord) -> bool:
     S and matches the E under it (S -> empty).  So the height h is the
     whole stack: a letter adds one, an eraser on h = 0 finds no E to
     match, and the input is derived iff it ends at h = 0 (S -> empty).
+
+    The loop runs only when the word's shape allows a derivation.  Each
+    production adds one letter and one E, so a derived word has even
+    length, and a nonempty one starts with a letter and ends with an E.
+    A word of odd length, ending in a letter or starting with an eraser
+    is refused once ``_TERMINALS.issuperset`` finds every item in the
+    alphabet; there the only eraser is Eraser(1), so the shape reads as
+    the grammar's.  Otherwise, or when an unhashable item makes the
+    lookup raise, the loop decides: it raises on the first foreign index
+    and counts every item that is no eraser as a letter.
     """
+    try:  # an unhashable item goes on to the loop, which reads it as a letter
+        if (len(word) % 2 or word and (type(word[-1]) is not Eraser
+                or type(word[0]) is Eraser)) and _TERMINALS.issuperset(word):
+            return False
+    except TypeError:
+        pass
     height = 0
     starved = False
     for sym in word:

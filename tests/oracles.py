@@ -61,6 +61,25 @@ def vanishes_brute(word, stages):
     return pipeline(word, stages) == ()
 
 
+def grammar_loop(word):
+    """The grammar decider's loop alone, with no refusal by shape: the
+    LL(1) parse of S -> a S E S | empty, its stack S (E S)^h kept as the
+    height h, over every word."""
+    height = 0
+    starved = False
+    for sym in word:
+        if type(sym) is not Eraser:
+            height += 1
+        elif sym.index != 1:
+            raise MalformedInput(
+                f"eraser index {sym.index} is outside the one-stage alphabet")
+        elif height:
+            height -= 1
+        else:
+            starved = True
+    return not starved and height == 0
+
+
 def min_stages_brute(word, kmax=6):
     for k in range(1, kmax + 1):
         if vanishes_brute(word, k):

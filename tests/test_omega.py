@@ -460,11 +460,33 @@ def _kept():
 
 @pytest.mark.parametrize("word", ["0" * 40, "1" * 40])
 def test_factor_index_of_long_non_factors_builds_nothing(word):
-    kept = _kept()
-    t0 = time.perf_counter()
-    assert factor_index(word) is None
-    assert time.perf_counter() - t0 < 0.1
-    assert _kept() == kept
+    # a regression that builds the rows up to 40 letters would exhaust
+    # memory, so the call runs in a fresh interpreter held to 256 MiB of
+    # address space and ten seconds: it fails within seconds instead of
+    # hanging the suite
+    code = """if True:
+        import json, resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from eraserlang import factor_index
+        from eraserlang.omega import _STARTS, _factor_row, _pad_row
+
+        def kept():
+            return (_factor_row.cache_info().currsize,
+                    _pad_row.cache_info().currsize, len(_STARTS))
+
+        before = kept()
+        t0 = time.perf_counter()
+        index = factor_index(sys.argv[1])
+        elapsed = time.perf_counter() - t0
+        json.dump([index, elapsed, before, kept()], sys.stdout)
+    """
+    done = subprocess.run([sys.executable, "-c", code, word],
+                          capture_output=True, text=True, check=True,
+                          env=_src_env(), timeout=10)
+    index, elapsed, kept, kept_after = json.loads(done.stdout)
+    assert index is None
+    assert elapsed < 0.1
+    assert kept_after == kept
 
 
 def test_factor_index_one_letter_past_the_built_rows_builds_nothing():

@@ -18,6 +18,8 @@ import tracemalloc
 from functools import partial
 from pathlib import Path
 
+import pytest
+
 import eraserlang
 from eraserlang import coding
 from eraserlang import (
@@ -40,6 +42,8 @@ from eraserlang import (
 )
 from eraserlang.cli import main
 
+from opcodes import count_opcodes
+
 E1, E2, E3 = Eraser(1), Eraser(2), Eraser(3)
 
 
@@ -51,6 +55,24 @@ def test_grammar_decides_deep_nesting_without_recursion():
     assert vanishes(member, 1)
     assert not vanishes_by_grammar(member[:-1])
     assert not vanishes_by_grammar((0,) + member[1:] + (E1,))
+
+
+# a word of about 2h symbols in each shape the grammar decider refuses
+REFUSED = {
+    "odd length": lambda h: (0,) * (h + 1) + (E1,) * h,
+    "ends in a letter": lambda h: (0,) * h + (E1,) * (h - 1) + (1,),
+    "starts with E1": lambda h: (E1,) + (0,) * h + (E1,) * (h - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REFUSED))
+def test_grammar_refuses_by_shape_in_opcodes_that_do_not_grow(shape):
+    # the per-symbol loop would run about 17 opcodes a symbol; a refused
+    # word runs one alphabet check at C speed instead
+    short, long = (REFUSED[shape](h) for h in (5, 50_000))
+    assert not vanishes_by_grammar(short) and not vanishes_by_grammar(long)
+    assert count_opcodes(vanishes_by_grammar, short) == \
+        count_opcodes(vanishes_by_grammar, long)
 
 
 def test_vanishes_decides_a_long_nested_member_at_once():

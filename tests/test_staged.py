@@ -18,7 +18,7 @@ from eraserlang import (
 )
 from eraserlang.staged import _rank_key
 
-from oracles import min_stages_brute, pipeline, vanishes_brute
+from oracles import grammar_loop, min_stages_brute, pipeline, vanishes_brute
 
 E1, E2, E3, E4 = Eraser(1), Eraser(2), Eraser(3), Eraser(4)
 
@@ -45,6 +45,46 @@ def test_grammar_agrees_with_pipeline():
     for length in range(9):
         for word in product([0, 1, E1], repeat=length):
             assert vanishes_by_grammar(word) == (pipeline(word, 1) == ())
+
+
+def _outcome(decide, word):
+    """The answer, or the type and text of what was raised."""
+    try:
+        return decide(word)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_grammar_answers_as_the_loop_on_every_short_word():
+    for length in range(8):
+        for word in product([0, 1, E1, E2], repeat=length):
+            assert _outcome(vanishes_by_grammar, word) == \
+                _outcome(grammar_loop, word), word
+
+
+@pytest.mark.parametrize("foreign", [E2, E3, E4])
+def test_grammar_refused_shapes_still_raise_on_a_foreign_index(foreign):
+    # odd length, ends in a letter, starts with E1, ends in E2
+    shapes = [(0, 1, E1, 0, E1), (0, E1, 1, E1, 0, 1), (E1, 0, 1, E1, 0, E1),
+              (0, 1, E1, E1, 0, E2)]
+    for word in shapes:
+        for at in (0, len(word) // 2, len(word) - 1):
+            bad = word[:at] + (foreign,) + word[at + 1:]
+            first = next(s for s in bad if type(s) is Eraser and s.index > 1)
+            expected = (MalformedInput, f"eraser index {first.index} is "
+                        "outside the one-stage alphabet")
+            assert _outcome(grammar_loop, bad) == expected
+            assert _outcome(vanishes_by_grammar, bad) == expected, bad
+
+
+@pytest.mark.parametrize("item", [2, "0", None, [], 1.0, True])
+def test_grammar_reads_other_items_as_the_loop_does(item):
+    # the loop counts every item that is no eraser as a letter; an
+    # unhashable one makes the alphabet check raise, and the loop decides
+    for length in range(5):
+        for word in product([0, E1, E2, item], repeat=length):
+            assert _outcome(vanishes_by_grammar, word) == \
+                _outcome(grammar_loop, word), word
 
 
 # ------------------------------------------------------------ membership
