@@ -10,24 +10,24 @@ tokenizer answers no tokens and the failed match, and the character
 after the match is where the text goes wrong.  Only ``decode`` turns
 that into a MalformedInput, so a coded query that merely rejects
 (``factorize``, ``viable_prefix``, ``vanishes_coded``) builds and
-raises nothing.  Only this module splits coded text into tokens, and
-only ``decode`` builds symbols: the other coded queries hand the stage
-engine their tokens, each code mapped to one copy of itself by
-``_codes``, which also lists those copies in stage order.  The one
-other reader of coded text is the order-p block scanner of the
-intersection identity check in ``omega``, which reads a letter at a
-time: that check compares it against encoded tokens, so it shares no
-rule with them.
+raises nothing.  This module alone reads coded text, stage one's kinds
+and the code copies included: it splits the text into tokens, reads
+stage one off it (``_stage_one``) and maps each code token to one copy
+of its code (``_coded``), which the other coded queries hand the stage
+engine with the copies in stage order; only ``decode`` builds symbols.
+The one exception is the order-p block scanner of the intersection
+identity check in ``omega``, which reads a letter at a time: that check
+compares it against encoded tokens, so it shares no rule with them.
 
 Text that comes in chunks splits the same way chunk by chunk: each
 chunk is read behind the code the chunk before left open.  That is how
-``viable_prefix`` reads a stream, each chunk as its stage-one kinds,
-one character per token.  The match repeats its tokens possessively:
-no token is a prefix of another, so a greedy run never has a token to
-give back, and the match is the one a backtracking loop finds, without
-a frame kept per token.  A read thus costs its token list, one pointer
-per token, or its kinds, one character per token, however long the
-text.
+``_stage_one`` reads the stream of ``viable_prefix``, each chunk as its
+stage-one kinds, one character per token.  The match repeats its tokens
+possessively: no token is a prefix of another, so a greedy run never
+has a token to give back, and the match is the one a backtracking loop
+finds, without a frame kept per token.  A read thus costs its token
+list, one pointer per token, or its kinds, one character per token,
+however long the text.
 
 An ultimately periodic coded word decodes copy by copy: each period
 copy is scanned behind the code left open at its boundary, and the open
@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, repeat
 
 from .words import (ALPHA, BETA, Eraser, MalformedInput, StagedWord, UPWord,
                     up_normalize)
@@ -95,25 +97,31 @@ def _tokenize(text: str) -> tuple[list[str], str] | tuple[None, re.Match]:
     return _TOKEN.findall(text, 0, scan.start(1)), scan[1]
 
 
-def _codes(tokens: list[str]) -> dict[str, str]:
-    """One copy of each distinct code among the tokens, keyed by itself,
-    in stage order: a stage tells its active code by identity once each
+def _coded(tokens: list[str], letters: Iterable) -> tuple[Iterator, list]:
+    """The arguments of ``eraser._stages`` for a word given by its
+    tokens: each code token as the one copy of its code, each letter
+    token as the matching item of letters, lazily; then the copies in
+    stage order.  A stage tells its active code by identity once each
     code token is mapped to its copy.
 
     The codes ``a b^j a`` sort as strings in index order, since at
     position j + 1 an ``a`` comes before a ``b``, so their sort order is
     the stage order.
     """
-    return {code: code for code in sorted(set(tokens) - _LETTERS)}
+    codes = {code: code for code in sorted(set(tokens) - _LETTERS)}
+    return map(codes.get, tokens, letters), list(codes)
 
 
-def _stage_one_kinds(text: str) -> tuple[str, str] | tuple[None, None]:
-    """The stage-one kinds of a coded word, one character per token,
-    then its dangling code; None twice when the text does not decode.
+def _stage_one(depth: int, carry: str, chunk: str) -> tuple[int, str] | None:
+    """Stage one over the tokens of carry + chunk from depth: the depth
+    after them and the code left open, cut to ``abb``; None when the
+    text does not decode or an eraser starves.
 
-    A letter stays itself, the code of Eraser(1) becomes ``d`` and any
-    other code ``c``, read off the whole tokens, the body, in three
-    passes at C speed:
+    Stage one pushes every token but the code of Eraser(1), which pops,
+    so its stack is one counter.  The counter runs over the stage-one
+    kinds of the whole tokens, the body, one character per token: a
+    letter stays itself, the code of Eraser(1) becomes ``d`` and any
+    other code ``c``, in three passes at C speed:
     ``body.replace("aba", "d").replace("b", "").replace("aa", "c")``.
 
     * In whole-token text ``aba`` occurs only as the code of Eraser(1):
@@ -127,12 +135,21 @@ def _stage_one_kinds(text: str) -> tuple[str, str] | tuple[None, None]:
 
     One pass per distinct code would cost letters times distinct
     indices; these three are linear in the letters whatever the codes.
+    An open code with two or more b's is carried as ``abb``: it can only
+    close as an index >= 2 eraser, and stage one treats all of those
+    alike.
     """
-    scan = _SCAN.fullmatch(text)
+    scan = _SCAN.fullmatch(text := carry + chunk)
     if scan is None:
-        return None, None
+        return None
     kinds = text[:scan.start(1)].replace("aba", "d").replace("b", "")
-    return kinds.replace("aa", "c"), scan[1]
+    kinds = kinds.replace("aa", "c")
+    pops = kinds.count("d")
+    # depth falls by at most pops, so only then can an eraser starve
+    if pops > depth and min(accumulate(map({"d": -1}.get, kinds, repeat(1)),
+                                       initial=depth)) < 0:
+        return None
+    return depth + len(kinds) - 2 * pops, scan[1][:3]
 
 
 def decode(text: str) -> DecodeResult:

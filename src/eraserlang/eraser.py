@@ -17,7 +17,7 @@ serves the staged words, the prefix of an ultimately periodic word (one
 stage at a time) and the coded queries alike, since it compares each
 symbol with the stage's active one by identity and reads nothing else
 of it: erasers are interned (see words.Eraser), and a coded query maps
-each code token to one copy of its code (see coding._codes).
+each code token to one copy of its code (see coding._coded).
 ``_pass_profile`` profiles periods only, whose pops may reach below
 the stack level a period starts at.  ``_vanishing_top`` gives only the
 verdict "erased to nothing" in one pass over the symbols: it counts
@@ -117,10 +117,10 @@ def _stages(word: Iterable, actives: list) -> Iterable | None:
     A stage pops for each occurrence of its active symbol, told by
     identity, and pushes every other symbol, so the actives are the
     interned erasers of a staged word (see _erasers) or the one copy of
-    each code of a coded one.  A stage whose active symbol is not in the
-    word passes it through unchanged, so only those that occur need to
-    run.  One active symbol runs the prefix of an ultimately periodic
-    word, where None is exactly a starving prefix.
+    each code of a coded one (see coding._coded).  A stage whose active
+    symbol is not in the word passes it through unchanged, so only those
+    that occur need to run.  One active symbol runs the prefix of an
+    ultimately periodic word, where None is exactly a starving prefix.
 
     The loop keeps the form CPython 3.11 specializes: ``stack.append``
     and ``stack.pop`` called as methods, not through hoisted bound

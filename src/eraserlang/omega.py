@@ -28,23 +28,15 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, partial
-from itertools import accumulate, chain, compress, count, product, repeat
+from itertools import accumulate, chain, compress, count, product
 
 from .words import MalformedInput, UPWord, parse_binary, parse_coded, up_prefix
 from .eraser import _stages, staged_erase_up
-from .coding import _codes, _stage_one_kinds, _tokenize, decode_up, encode
+from .coding import _coded, _stage_one, _tokenize, decode_up, encode
 from .staged import _vanishing_rows
 
 
 # ---------------------------------------------------------------- pads
-
-def _coded(tokens: list[str], letters: Iterable) -> tuple[Iterator, list]:
-    """The arguments of ``_stages`` for a word given by its tokens: each
-    code token as the one copy of its code, each letter token as the
-    matching item of letters, lazily; then the codes in stage order."""
-    codes = _codes(tokens)
-    return map(codes.get, tokens, letters), list(codes)
-
 
 def vanishes_coded(word: str) -> bool:
     """Does the word decode to a staged word that erases to nothing?
@@ -114,29 +106,11 @@ def factorize(word: str) -> Factorization:
 
 def is_factor(word: str) -> bool:
     """Membership in the factor language (pad 0)^* (pad 1): a stream
-    whose only cut is the end.
-
-    The run of ``factorize`` without its cuts: no eraser starves and the
-    survivors spell 0^k 1.  Only letters survive, since each eraser is
-    spent at its own stage, and the final 1 always does, with nothing
-    after it to pop it.
-    """
-    if word[-1:] != "1":  # so the word cannot end inside a code
-        return False
-    tokens = _tokenize(word)[0]
-    if tokens is None:
-        return False
-    alive = _stages(*_coded(tokens, tokens))
-    if alive is None:
-        return False
-    survivors = "".join(alive)
-    return survivors == "0" * (len(survivors) - 1) + "1"
+    whose only cut is the end, read off the run of ``factorize``."""
+    return factorize(word).cuts == (0, len(word))
 
 
 # ------------------------------------------------------ viable prefixes
-
-_POPS = {"d": -1}.get  # the stage-one step of a kinds character
-
 
 def viable_prefix(word: str | Iterable[str]) -> bool:
     """Is the word, a str or an iterable of str chunks, a prefix of some
@@ -153,12 +127,9 @@ def viable_prefix(word: str | Iterable[str]) -> bool:
     so its stack is one counter: the depth, which starts at 0, rises by
     one per other token and falls by one per ``aba``, and an eraser
     starves where it would fall below 0.  A str is one chunk.  Each
-    chunk is read whole, as its stage-one kinds, one character per
-    token, behind the code left open at the end of the chunk before, and
-    the depth carries along.  An open code with two or more b's is
-    carried as ``abb``: it can only close as an index >= 2 eraser, and
-    stage one treats all of those alike.  Memory stays that of one
-    chunk, however long the stream.
+    chunk is read whole by ``coding._stage_one``, behind the code left
+    open at the end of the chunk before, and the depth carries along.
+    Memory stays that of one chunk, however long the stream.
     """
     if isinstance(word, str):
         return _stage_one(0, "", word) is not None
@@ -167,22 +138,6 @@ def viable_prefix(word: str | Iterable[str]) -> bool:
         if (state := _stage_one(*state, chunk)) is None:
             return False
     return True
-
-
-def _stage_one(depth: int, carry: str, chunk: str) -> tuple[int, str] | None:
-    """Stage one over the tokens of carry + chunk from depth: the depth
-    after them and the code left open, cut to ``abb``; None when the
-    text does not decode or an eraser starves."""
-    # one character per token, "d" for the code of Eraser(1)
-    kinds, carry = _stage_one_kinds(carry + chunk)
-    if kinds is None:
-        return None
-    pops = kinds.count("d")
-    # depth falls by at most pops, so only then can an eraser starve
-    if pops > depth and min(accumulate(map(_POPS, kinds, repeat(1)),
-                                       initial=depth)) < 0:
-        return None
-    return depth + len(kinds) - 2 * pops, carry[:3]
 
 
 # ----------------------------------------------------------- omega words
@@ -556,8 +511,8 @@ def verify_intersection_identity(p: int, n: int,
 # ----------------------------------------------------- factor enumeration
 #
 # The factors are enumerated one row per length, built constructively from
-# pads, which come from staged._vanishing_rows and not from a pipeline run
-# as in is_factor; the tests check the rows against an is_factor filter
+# pads, which come from staged._vanishing_rows and not from a stage run as
+# in factorize; the tests check the rows against an is_factor filter
 # over all coded words.  A row, of pads or of factors, is kept as one
 # string, its words back to back, so it costs one byte a letter and no
 # object a word.  A row asks for the shorter rows in increasing length,

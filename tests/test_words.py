@@ -132,14 +132,14 @@ def test_every_route_returns_the_live_eraser():
 
 
 def test_eraser_table_holds_no_eraser_alive():
-    gc.collect()
-    before = len(words._LIVE)
-    word = parse_staged(" ".join(f"E{j}"
-                                 for j in range(10 ** 6, 10 ** 6 + 10 ** 4)))
-    assert len(words._LIVE) >= before + 10 ** 4
+    # only its own indices, held by no other code, are looked up, so an
+    # eraser that another test keeps alive cannot change the outcome
+    indices = range(2 * 10 ** 6, 2 * 10 ** 6 + 10 ** 4)
+    word = parse_staged(" ".join(f"E{j}" for j in indices))
+    assert all(j in words._LIVE for j in indices)
     del word
     gc.collect()
-    assert len(words._LIVE) == before
+    assert not any(j in words._LIVE for j in indices)
 
 
 def test_threads_making_one_index_share_one_eraser():
