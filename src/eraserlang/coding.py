@@ -58,8 +58,10 @@ _SCAN = re.compile(f"(?:{_TOKEN.pattern})*+((?:ab*)?)")
 def encode(word: StagedWord) -> str:
     """The coded text of a staged word.
 
-    Raises MalformedInput on an eraser index too large for any string to
-    hold its code.
+    Raises MalformedInput, naming the word's highest eraser index, when
+    its coded text cannot be built: a code too long for any string
+    (OverflowError) or for the memory at hand (MemoryError), from one
+    code or from the whole text.
     """
     parts = []
     try:
@@ -68,10 +70,13 @@ def encode(word: StagedWord) -> str:
                 parts.append(ALPHA + BETA * sym.index + ALPHA)
             else:
                 parts.append(str(sym))
-    except OverflowError:
+        return "".join(parts)
+    except (OverflowError, MemoryError):
+        indices = [sym.index for sym in word if type(sym) is Eraser]
+        if not indices:  # letters alone: no code to name
+            raise
         raise MalformedInput(
-            f"eraser index {sym.index} is too large to encode") from None
-    return "".join(parts)
+            f"eraser index {max(indices)} is too large to encode") from None
 
 
 class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):

@@ -27,7 +27,7 @@ import _thread
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import accumulate, chain, compress, count, product
 
 from .words import MalformedInput, UPWord, parse_binary, parse_coded, up_prefix
@@ -515,47 +515,53 @@ def verify_intersection_identity(p: int, n: int,
 # in factorize; the tests check the rows against an is_factor filter
 # over all coded words.  A row, of pads or of factors, is kept as one
 # string, its words back to back, so it costs one byte a letter and no
-# object a word.  A row asks for the shorter rows in increasing length,
-# each of which finds its own shorter rows built, so no call recurses
-# more than one row deep.
+# object a word.
 #
-# _STARTS keeps where each row starts in the enumeration, one int per
-# row, each counted once from the row before.  nth_factor finds its row
-# by bisecting the starts, and factor_index adds the start to the word's
-# place in its row.  The rows are exact, so once a row is built it is
-# its own membership test: a word of that length is a factor iff the
-# bisection lands on it.  Only before its row is in the table does
-# factor_index run is_factor, so that a non-factor builds no row.
+# One table holds the enumeration, three lists indexed by length:
+# _PADS[m] the pads coded m long, _ROWS[n] the factors n letters long
+# and _STARTS[n] the number of factors shorter than n.  Only _grow
+# appends to them, under a lock, so each row is built once however many
+# threads ask for it, and it enters each row before the start counted
+# from it: a reader that finds a start past i finds the row holding i
+# built.  nth_factor finds its row by bisecting the starts, and
+# factor_index adds the start to the word's place in its row.  The rows
+# are exact, so once a row is built it is its own membership test: a
+# word of that length is a factor iff the bisection lands on it.  Only
+# before its row is in the table does factor_index run is_factor, so
+# that a non-factor builds no row.
 
-_STARTS = [0]  # _STARTS[n - 1]: the number of factors shorter than n
+_PADS: list[str] = []
+_ROWS = [""]  # no factor is empty
+_STARTS = [0, 0]  # no factor is shorter than 0 or 1 letters
 _GROWING = _thread.allocate_lock()
 
 
-@lru_cache(maxsize=None)
-def _pad_row(m: int) -> str:
-    """The sorted encodings of the vanishing staged words coded m long,
-    packed back to back, m letters each; Eraser(m - 2) is the highest
-    eraser whose code fits."""
-    rows = _vanishing_rows(m - 2, lambda sym: len(encode((sym,))), m)
-    return "".join(sorted(map(encode, rows[m])))
+def _grow(n: int) -> None:
+    """Build and enter the factor rows up to n and the pad rows up to
+    n - 1.
 
-
-@lru_cache(maxsize=None)
-def _factor_row(n: int) -> str:
-    """The sorted factors of length n >= 1, packed back to back, n
-    letters each.
-
-    A factor (pad 0)^* (pad 1) is a pad and a 1, or a pad and a 0
-    before a shorter factor; pads and factors are sliced out of their
-    packed rows.  The pairs are joined at C speed, and the row is sorted
-    and joined once.
+    The pads coded m long are the sorted encodings of the vanishing
+    staged words of that coded length, from one walk up to Eraser(m - 2),
+    the highest eraser whose code fits.  A factor (pad 0)^* (pad 1) of
+    m + 1 letters is a pad coded m long and a 1, or a pad coded k < m
+    long and a 0 before a factor of m - k letters; pads and factors are
+    sliced out of their packed rows.  The pairs are joined at C speed,
+    and the row is sorted and joined once.
     """
-    words = [pad + "1" for pad in _row_words(_pad_row(n - 1), n - 1)]
-    for m in range(1, n):
-        k = n - 1 - m  # the length of the pad before the 0
-        heads = [pad + "0" for pad in _row_words(_pad_row(k), k)]
-        words += map("".join, product(heads, _row_words(_factor_row(m), m)))
-    return "".join(sorted(words))
+    with _GROWING:  # so that no row is built twice
+        for m in range(len(_PADS), n):
+            # only the walk's last row lives on into the sort
+            pads = "".join(sorted(map(encode, _vanishing_rows(
+                m - 2, lambda sym: len(encode((sym,))), m)[m])))
+            words = [pad + "1" for pad in _row_words(pads, m)]
+            for k in range(m):
+                heads = [pad + "0" for pad in _row_words(_PADS[k], k)]
+                tails = _row_words(_ROWS[m - k], m - k)
+                words += map("".join, product(heads, tails))
+            # entered once built, so a build cut short leaves no trace
+            _ROWS.append(row := "".join(sorted(words)))
+            _PADS.append(pads)
+            _STARTS.append(_STARTS[-1] + len(row) // (m + 1))
 
 
 def _row_words(row: str, n: int) -> Iterator[str]:
@@ -564,15 +570,6 @@ def _row_words(row: str, n: int) -> Iterator[str]:
     length of the packed string can count."""
     starts = range(0, len(row), n) if n else [0]
     return map(row.__getitem__, map(slice, starts, count(n, n)))
-
-
-def _grow_starts(n: int) -> None:
-    """Enter the start of every row up to n + 1, building the rows up to
-    n."""
-    # under the lock, so that two threads never enter a start twice
-    with _GROWING:
-        for m in range(len(_STARTS), n + 1):
-            _STARTS.append(_STARTS[-1] + len(_factor_row(m)) // m)
 
 
 def nth_factor(i: int) -> str:
@@ -585,34 +582,35 @@ def nth_factor(i: int) -> str:
     if i < 0:
         raise ValueError("index must be >= 0")
     while i >= _STARTS[-1]:
-        _grow_starts(len(_STARTS))
-    n = bisect_right(_STARTS, i)
-    at = (i - _STARTS[n - 1]) * n
-    return _factor_row(n)[at:at + n]
+        _grow(len(_ROWS))
+    n = bisect_right(_STARTS, i) - 1
+    at = (i - _STARTS[n]) * n
+    return _ROWS[n][at:at + n]
 
 
 def factor_index(word: str) -> int | None:
     """Position of a factor in the enumeration, None for non-members.
 
-    Once the word's row is built and its start entered, the row alone
-    decides: a bisection over its offsets finds where the word would
-    stand, and it is a factor iff the row holds it there.  Before that,
-    is_factor runs first, so that a non-factor builds no row.
+    Once the word's row is in the table, the row alone decides: a
+    bisection over its offsets finds where the word would stand, and it
+    is a factor iff the row holds it there.  Before that, is_factor runs
+    first, so that a non-factor builds no row.
     """
     # the empty word, or row n not in the table yet
-    if not 0 < (n := len(word)) < len(_STARTS):
+    if not 0 < (n := len(word)) < len(_ROWS):
         if not is_factor(word):
             return None
-        _grow_starts(n)
-    row = _factor_row(n)
+        _grow(n)
+    row = _ROWS[n]
     at = bisect_left(range(0, len(row), n), word, key=lambda k: row[k:k + n])
-    return _STARTS[n - 1] + at if row[at * n:at * n + n] == word else None
+    return _STARTS[n] + at if row[at * n:at * n + n] == word else None
 
 
 def factor_words(max_len: int) -> list[str]:
-    """Every factor of length up to max_len, in the order of nth_factor."""
-    return [w for n in range(1, max_len + 1)
-            for w in _row_words(_factor_row(n), n)]
+    """Every factor of length up to max_len, in the order of nth_factor;
+    the rows listed stay in the table."""
+    _grow(max_len)
+    return [w for n in range(1, max_len + 1) for w in _row_words(_ROWS[n], n)]
 
 
 # ------------------------------------------------------- index pairings

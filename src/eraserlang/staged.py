@@ -29,7 +29,6 @@ foreign index wherever it stands.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable, Iterator
 from itertools import chain, product
 
@@ -144,25 +143,22 @@ def vanishing_words(stages: int, max_len: int) -> list[StagedWord]:
     if stages < 1:
         raise ValueError("stage count must be >= 1")
     rows = _vanishing_rows(stages, lambda sym: 1, max_len)
-    key = _rank_key(stages)
-    return [w for row in rows for w in sorted(row, key=key)]
+    return [w for row in rows for w in sorted(row, key=_rank_key)]
 
 
-def _rank_key(top: int) -> Callable[[StagedWord], str | list]:
-    """A sort key for staged words over indices up to top, by the symbol
-    ranks 0 < 1 < Eraser(1) < .. < Eraser(top).
+def _rank_key(word: StagedWord) -> str:
+    """A sort key for staged words by the symbol ranks 0 < 1 < Eraser(1)
+    < Eraser(2) < .., one code point per rank.
 
     Encodings would order the words alike, but grow with the eraser
-    index.  A string with one code point per rank compares like the list
-    of ranks and is cheaper to build; the list is the key only once a
-    rank would pass the last code point.
+    index.  The string compares like the list of ranks and is cheaper to
+    build.  A rank past the last code point, Eraser(sys.maxunicode),
+    would raise, but ``vanishing_words`` never meets one: it would stand
+    in a row of at least two symbols, and the row of two alone holds
+    about 6 * 10**11 words once the stages reach that index.
     """
-    if top < sys.maxunicode:
-        return lambda word: "".join([
-            chr(sym.index + 1) if type(sym) is Eraser else chr(sym)
-            for sym in word])
-    return lambda word: [sym.index + 1 if type(sym) is Eraser else sym
-                         for sym in word]
+    return "".join([chr(sym.index + 1) if type(sym) is Eraser else chr(sym)
+                    for sym in word])
 
 
 def min_stages(word: StagedWord) -> int | None:

@@ -4,9 +4,15 @@ Exit 2 comes with one diagnostic line; exit 1 is reserved for internal
 failures, so user input must never produce it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import eraserlang
 from eraserlang import omega
 from eraserlang.cli import main
 
@@ -84,6 +90,27 @@ def test_a_negative_count_exits_2(capsys, argv):
 def test_an_index_too_large_to_encode_exits_2(capsys, argv):
     assert run(capsys, *argv) == (
         2, "", "eraser index 99999999999999999999 is too large to encode\n")
+
+
+# an index whose code fits a C size but not the memory at hand: the
+# command runs in a fresh interpreter held to 256 MiB of address space
+@pytest.mark.parametrize("argv, index", [
+    (["encode", "0 E1000000000000"], 1000000000000),
+    (["encode", "--up", "0|E99999999999"], 99999999999),
+])
+def test_an_index_too_large_for_memory_exits_2(argv, index):
+    code = """if True:
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from eraserlang.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """
+    src = str(Path(eraserlang.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"eraser index {index} is too large to encode\n")
 
 
 # -------------------------------------------------------- any word, 0 or 2

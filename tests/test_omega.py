@@ -36,7 +36,7 @@ from eraserlang import (
     words_over,
 )
 
-from eraserlang.omega import _STARTS, _factor_row, _pad_row, _row_words
+from eraserlang.omega import _PADS, _ROWS, _STARTS, _grow, _row_words
 
 from oracles import (factors_by_filter, pipeline, vanishes_brute,
                      viable_by_extension)
@@ -344,7 +344,7 @@ def _src_env():
 def test_factor_index_is_the_position_among_filtered_factors():
     # with rows up to 13 built and entered, the rows alone decide
     nth_factor(1192)
-    assert len(_STARTS) > 13
+    assert len(_ROWS) > 13
     position = {w: i for i, w in enumerate(factors_by_filter(8))}
     for w in _coded_words(range(9)):
         assert factor_index(w) == position.get(w), w
@@ -365,12 +365,12 @@ def test_factor_index_runs_is_factor_before_a_row_is_built():
         import json, sys
         from itertools import product
         from eraserlang import factor_index, is_factor
-        from eraserlang.omega import _STARTS
+        from eraserlang.omega import _ROWS, _STARTS
         words = ["".join(t) for n in range(9)
                  for t in product("01ab", repeat=n)]
         answers = {}
         for w in sorted(words, key=is_factor):
-            guarded = not 0 < len(w) < len(_STARTS)
+            guarded = not 0 < len(w) < len(_ROWS)
             answers[w] = factor_index(w), guarded
         json.dump({"answers": answers, "starts": _STARTS}, sys.stdout)
     """
@@ -385,7 +385,7 @@ def test_factor_index_runs_is_factor_before_a_row_is_built():
     # every non-factor, and the first factor of each length, ran the guard
     guarded = sum(g for _, g in out["answers"].values())
     assert guarded == len(words) - len(position) + 8
-    assert out["starts"] == [0, 1, 2, 3, 4, 7, 14, 27, 49]
+    assert out["starts"] == [0, 0, 1, 2, 3, 4, 7, 14, 27, 49]
 
 
 def test_row_sizes_are_pinned():
@@ -401,8 +401,10 @@ PAD_ROW_SIZES = [1, 0, 0, 0, 2, 2, 2, 3, 11, 16, 24, 37, 91, 140, 244, 409,
 
 
 def _pads(m):
-    """The pads coded m long, read out of their packed row."""
-    return list(_row_words(_pad_row(m), m))
+    """The pads coded m long, read out of their packed row in the table,
+    which a factor row one letter longer ends in."""
+    _grow(m + 1)
+    return list(_row_words(_PADS[m], m))
 
 
 def test_pad_row_sizes_are_pinned():
@@ -411,10 +413,10 @@ def test_pad_row_sizes_are_pinned():
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_pad_rows_are_packed_sorted_and_distinct(m):
-    row = _pad_row(m)
+    pads = _pads(m)
+    row = _PADS[m]
     assert type(row) is str
     assert len(row) == m * PAD_ROW_SIZES[m]
-    pads = _pads(m)
     assert pads == sorted(set(pads))
 
 
@@ -454,9 +456,8 @@ def test_factor_index_does_not_depend_on_call_order():
 
 
 def _kept():
-    """The factor rows, pad rows and row starts kept."""
-    return (_factor_row.cache_info().currsize,
-            _pad_row.cache_info().currsize, len(_STARTS))
+    """The factor rows, pad rows and row starts in the table."""
+    return len(_ROWS), len(_PADS), len(_STARTS)
 
 
 @pytest.mark.parametrize("word", ["0" * 40, "1" * 40])
@@ -469,11 +470,10 @@ def test_factor_index_of_long_non_factors_builds_nothing(word):
         import json, resource, sys, time
         resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
         from eraserlang import factor_index
-        from eraserlang.omega import _STARTS, _factor_row, _pad_row
+        from eraserlang.omega import _PADS, _ROWS, _STARTS
 
         def kept():
-            return (_factor_row.cache_info().currsize,
-                    _pad_row.cache_info().currsize, len(_STARTS))
+            return len(_ROWS), len(_PADS), len(_STARTS)
 
         before = kept()
         t0 = time.perf_counter()
@@ -491,11 +491,11 @@ def test_factor_index_of_long_non_factors_builds_nothing(word):
 
 
 def test_factor_index_one_letter_past_the_built_rows_builds_nothing():
-    # rows are built from 1 up, so the longest is the number built; a
-    # factor of that length enters every built row in the table
-    m = max(_factor_row.cache_info().currsize, 13)
-    assert factor_index("0" * (m - 1) + "1") == _STARTS[m - 1]
-    assert len(_STARTS) == m + 1
+    # rows are built from 1 up, so the longest is one short of the
+    # table's length; a factor of that length is answered by its row
+    m = max(len(_ROWS) - 1, 13)
+    assert factor_index("0" * (m - 1) + "1") == _STARTS[m]
+    assert len(_ROWS) == m + 1 and len(_STARTS) == m + 2
     kept = _kept()
     for word in ("0" * (m + 1), "1" * (m + 1), "0" * (m - 1) + "11"):
         assert factor_index(word) is None
@@ -504,12 +504,23 @@ def test_factor_index_one_letter_past_the_built_rows_builds_nothing():
 
 def test_enumeration_lookups_agree_across_threads():
     # four threads in a fresh interpreter race to build and enter the
-    # rows up to 13, switching as often as the interpreter allows
+    # rows up to 13, switching as often as the interpreter allows; each
+    # row's one pad walk counts the rows built
     code = """if True:
         import json, random, sys, threading
         sys.setswitchinterval(1e-6)
+        import eraserlang.omega as omega
         from eraserlang import factor_index, nth_factor
-        from eraserlang.omega import _STARTS
+        from eraserlang.omega import _ROWS, _STARTS
+
+        walks = []
+        walk = omega._vanishing_rows
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        omega._vanishing_rows = counted
 
         def run(seed, out):
             order = list(range(1193))
@@ -527,8 +538,8 @@ def test_enumeration_lookups_agree_across_threads():
         for t in threads:
             t.join(60)
         alive = any(t.is_alive() for t in threads)
-        json.dump({"alive": alive, "outs": outs, "starts": _STARTS},
-                  sys.stdout)
+        json.dump({"alive": alive, "outs": outs, "starts": _STARTS,
+                   "rows": len(_ROWS), "walks": len(walks)}, sys.stdout)
     """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_src_env(), timeout=120)
@@ -542,7 +553,69 @@ def test_enumeration_lookups_agree_across_threads():
         assert sorted(answers) == sequential
         orders.append([i for i, _, _ in answers])
     assert len(set(map(tuple, orders))) == 4  # each thread its own order
-    assert out["starts"] == _STARTS[:14]
+    assert out["starts"] == _STARTS[:15]
+    # the rows 1 to 13, each built once
+    assert out["rows"] == 14
+    assert out["walks"] == 13
+
+
+def test_listed_rows_answer_factor_index_alone():
+    # a fresh interpreter lists the factors up to 13 letters, then asks
+    # for the 13-letter ones and every one-letter change of them with
+    # is_factor refusing to run: the listing entered its rows
+    code = """if True:
+        import json, sys
+        import eraserlang.omega as omega
+        row13 = omega.factor_words(13)[626:]
+
+        def refuse(word):
+            raise AssertionError(f"is_factor ran on {word}")
+
+        omega.is_factor = refuse
+        changed = [word[:at] + ch + word[at + 1:]
+                   for word in row13 for at, old in enumerate(word)
+                   for ch in "01ab".replace(old, "")]
+        json.dump([[w, omega.factor_index(w)] for w in row13 + changed],
+                  sys.stdout)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_src_env())
+    answers = json.loads(done.stdout)
+    row13 = factor_words(13)[626:]
+    assert answers[:567] == [[w, 626 + k] for k, w in enumerate(row13)]
+    changed = answers[567:]
+    assert [w for w, _ in changed] == [
+        w for word in row13 for w in _one_letter_changed(word)]
+    for w, i in changed:
+        assert (i is not None) == is_factor(w), w
+        assert i is None or nth_factor(i) == w, w
+
+
+def test_a_row_build_cut_short_enters_nothing():
+    # a fresh interpreter whose first build of row 2 fails after its
+    # pads are walked: the table keeps row 1 alone, and the next call
+    # builds row 2 in full
+    code = """if True:
+        import json, sys
+        import eraserlang.omega as omega
+
+        def cut(*args):
+            raise MemoryError
+
+        omega.product, product = cut, omega.product
+        try:
+            omega.nth_factor(1)
+        except MemoryError:
+            pass
+        kept = len(omega._PADS), len(omega._ROWS), len(omega._STARTS)
+        omega.product = product
+        json.dump([kept, omega.factor_words(8)], sys.stdout)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_src_env())
+    kept, words = json.loads(done.stdout)
+    assert kept == [1, 2, 3]
+    assert words == factor_words(8)
 
 
 def test_enumeration_is_length_lex_monotone():
