@@ -6,11 +6,12 @@ coded text splits into tokens, each a letter or a whole code, in one
 way.  One regex match reads the longest run of whole tokens and the
 open code ``a b*`` after it, if any.  The text decodes when that match
 reaches its end, the open code being the dangling part; otherwise the
-tokenizer answers no tokens and the failed match, and the character
-after the match is where the text goes wrong.  Only ``decode`` turns
-that into a MalformedInput, so a coded query that merely rejects
-(``factorize``, ``viable_prefix``, ``vanishes_coded``) builds and
-raises nothing.  This module alone reads coded text, stage one's kinds
+tokenizer answers no tokens.  It asks ``fullmatch``, which answers
+None, so a coded query that merely rejects (``factorize``,
+``viable_prefix``, ``vanishes_coded``) builds no Match and raises
+nothing.  Only ``decode`` scans with ``match``, whose end is where the
+text goes wrong, and turns that into a MalformedInput, in the one scan
+it decodes with.  This module alone reads coded text, stage one's kinds
 and the code copies included: it splits the text into tokens, reads
 stage one off it (``_stage_one``) and maps each code token to one copy
 of its code (``_coded``), which the other coded queries hand the stage
@@ -18,6 +19,19 @@ engine with the copies in stage order; only ``decode`` builds symbols.
 The one exception is the order-p block scanner of the intersection
 identity check in ``omega``, which reads a letter at a time: that check
 compares it against encoded tokens, so it shares no rule with them.
+
+One table, ``_TABLE``, holds the symbols and their codes both ways: the
+letters and Eraser(1) to Eraser(_K).  ``_K`` is 16, fixed by what the
+table keeps alive for the life of the process, 16 erasers and 18 short
+strings, and never by the words at hand.  ``decode`` and ``encode`` map
+every symbol or token through it at C speed.  A decodable text holds
+a run of _K + 1 b's exactly when one of its codes, or its dangling
+code, has an index past _K, since only a code holds b's.  So one
+substring test tells ``decode`` that the table holds every code of the
+text, and otherwise it maps through a copy of the table that also
+holds the codes past it, each built once; ``encode`` turns to such a
+copy when a lookup misses.  Through the copy too, the mapping itself
+runs at C speed.
 
 Text that comes in chunks splits the same way chunk by chunk: each
 chunk is read behind the code the chunk before left open.  That is how
@@ -54,29 +68,74 @@ _LETTERS = frozenset("01")  # the tokens that are not codes
 # backtracking frame per token
 _SCAN = re.compile(f"(?:{_TOKEN.pattern})*+((?:ab*)?)")
 
+# the highest eraser index in the symbol table, chosen from memory
+# alone: the table keeps _K erasers and _K + 2 short strings alive for
+# the life of the process, whatever the words
+_K = 16
+
+
+def _spelled(sym) -> str:
+    """The code of an eraser, or any other item as ``str`` spells it."""
+    if type(sym) is Eraser:
+        return ALPHA + BETA * sym.index + ALPHA
+    return str(sym)
+
+
+# the symbol table, both ways: each letter and each code up to _K to its
+# symbol, and each symbol to its code
+_TABLE = {_spelled(sym): sym
+          for sym in (0, 1, *map(Eraser, range(1, _K + 1)))}
+_TABLE.update({sym: code for code, sym in _TABLE.items()})
+# only a code past _K, whole or dangling, holds this run of b's
+_PAST_TABLE = BETA * (_K + 1)
+# the types of the symbols the table can code; an item that only equals
+# one, True or 1.0, must not take its code
+_SYMBOL_TYPES = frozenset({int, Eraser})
+
 
 def encode(word: StagedWord) -> str:
     """The coded text of a staged word.
+
+    Each symbol's code is looked up in ``_TABLE`` and the codes are
+    joined at C speed.  A word with an eraser past ``_K`` or another
+    int looks its symbols up in a copy of the table that also holds
+    theirs, built once per distinct symbol.  Any other item, such as
+    ``True`` or ``1.0``, which would find the code of the int it equals,
+    is spelled by itself, as ``str`` spells it.
 
     Raises MalformedInput, naming the word's highest eraser index, when
     its coded text cannot be built: a code too long for any string
     (OverflowError) or for the memory at hand (MemoryError), from one
     code or from the whole text.
     """
-    parts = []
+    if type(word) is not tuple:  # read more than once below
+        word = tuple(word)
     try:
-        for sym in word:
-            if type(sym) is Eraser:
-                parts.append(ALPHA + BETA * sym.index + ALPHA)
-            else:
-                parts.append(str(sym))
-        return "".join(parts)
+        if not _SYMBOL_TYPES.issuperset(map(type, word)):
+            return "".join(map(_spelled, word))
+        try:
+            return "".join(map(_TABLE.__getitem__, word))
+        except KeyError:  # a symbol past the table
+            return "".join(map(_TableCopy(_TABLE).__getitem__, word))
     except (OverflowError, MemoryError):
         indices = [sym.index for sym in word if type(sym) is Eraser]
         if not indices:  # letters alone: no code to name
             raise
         raise MalformedInput(
             f"eraser index {max(indices)} is too large to encode") from None
+
+
+class _TableCopy(dict):
+    """A copy of ``_TABLE`` for one call, which enters each key it
+    misses once: a code past _K with its eraser, or any other symbol
+    with its code."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        value = self[key] = (Eraser(len(key) - 2) if type(key) is str
+                             else _spelled(key))
+        return value
 
 
 class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):
@@ -88,17 +147,16 @@ class DecodeResult(namedtuple("DecodeResult", "symbols dangling")):
     __slots__ = ()
 
 
-def _tokenize(text: str) -> tuple[list[str], str] | tuple[None, re.Match]:
+def _tokenize(text: str) -> tuple[list[str], str] | tuple[None, None]:
     """The tokens of a coded word, each a letter or a whole code, then
-    its dangling code; None, then the failed ``_SCAN`` match, when the
-    text does not decode.
+    its dangling code; None twice when the text does not decode.
 
-    Rejecting builds no exception: only ``decode`` reads the position
-    and the message of the failure, off the end of that match.
+    Rejecting builds neither an exception nor a Match: ``fullmatch``
+    answers None.  Only ``decode`` reads where the text goes wrong.
     """
-    scan = _SCAN.match(text)
-    if scan.end() < len(text):
-        return None, scan
+    scan = _SCAN.fullmatch(text)
+    if scan is None:
+        return None, None
     return _TOKEN.findall(text, 0, scan.start(1)), scan[1]
 
 
@@ -160,23 +218,26 @@ def _stage_one(depth: int, carry: str, chunk: str) -> tuple[int, str] | None:
 def decode(text: str) -> DecodeResult:
     """Decode coded text; a code left open at its end is the dangling part.
 
+    One scan finds the tokens, or where the text goes wrong.  The
+    tokens map to their symbols through ``_TABLE`` when the text holds
+    no run of _K + 1 b's, and otherwise through a copy of it that also
+    holds each code past _K, whose eraser is built once.
+
     Raises MalformedInput, with a 1-based position, on text that no
     extension could complete: a malformed code (a stray b, an empty code,
     or a code broken by another character, at that character) or an
     unexpected character.
     """
-    tokens, rest = _tokenize(text)
-    if tokens is None:
+    scan = _SCAN.match(text)
+    if scan.end() < len(text):
         # the text goes wrong just after the longest decodable run
-        pos = rest.end() + 1
-        if rest.group(1) or text[pos - 1] == BETA:
+        pos = scan.end() + 1
+        if scan[1] or text[pos - 1] == BETA:
             raise MalformedInput("malformed code", pos)
         raise MalformedInput(f"unexpected character {text[pos - 1]!r}", pos)
-    # Eraser() once per distinct code, not once per token
-    symbol = {"0": 0, "1": 1}
-    for code in set(tokens) - _LETTERS:
-        symbol[code] = Eraser(len(code) - 2)
-    return DecodeResult(tuple(map(symbol.__getitem__, tokens)), rest)
+    tokens = _TOKEN.findall(text, 0, scan.start(1))
+    symbol = _TableCopy(_TABLE) if _PAST_TABLE in text else _TABLE
+    return DecodeResult(tuple(map(symbol.__getitem__, tokens)), scan[1])
 
 
 def encode_up(x: UPWord) -> UPWord:

@@ -30,7 +30,8 @@ from collections.abc import Iterable, Iterator
 from functools import cache, partial
 from itertools import accumulate, chain, compress, count, product
 
-from .words import MalformedInput, UPWord, parse_binary, parse_coded, up_prefix
+from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
+                    up_prefix)
 from .eraser import _stages, staged_erase_up
 from .coding import _coded, _stage_one, _tokenize, decode_up, encode
 from .staged import _vanishing_rows
@@ -552,7 +553,7 @@ def _grow(n: int) -> None:
         for m in range(len(_PADS), n):
             # only the walk's last row lives on into the sort
             pads = "".join(sorted(map(encode, _vanishing_rows(
-                m - 2, lambda sym: len(encode((sym,))), m)[m])))
+                m - 2, _coded_length, m)[m])))
             words = [pad + "1" for pad in _row_words(pads, m)]
             for k in range(m):
                 heads = [pad + "0" for pad in _row_words(_PADS[k], k)]
@@ -562,6 +563,11 @@ def _grow(n: int) -> None:
             _ROWS.append(row := "".join(sorted(words)))
             _PADS.append(pads)
             _STARTS.append(_STARTS[-1] + len(row) // (m + 1))
+
+
+def _coded_length(sym) -> int:
+    """The length of a symbol's code, counted without building it."""
+    return sym.index + 2 if type(sym) is Eraser else 1
 
 
 def _row_words(row: str, n: int) -> Iterator[str]:

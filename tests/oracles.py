@@ -87,6 +87,13 @@ def min_stages_brute(word, kmax=6):
     return None
 
 
+def encode_by_hand(word):
+    """encode by its definition: each eraser as a b^j a, any other item
+    as str spells it."""
+    return "".join("a" + "b" * s.index + "a" if type(s) is Eraser else str(s)
+                   for s in word)
+
+
 def decode_by_hand(text):
     """decode as a character loop: (symbols, dangling), or MalformedInput
     with decode's message and position.

@@ -25,7 +25,7 @@ from eraserlang import (
     viable_prefix,
 )
 
-from oracles import decode_by_hand, single_pass
+from oracles import decode_by_hand, encode_by_hand, single_pass
 
 E1, E2, E3 = Eraser(1), Eraser(2), Eraser(3)
 
@@ -48,20 +48,90 @@ def test_decode_examples():
     assert res.symbols == () and res.dangling == "ab"
 
 
-def test_decode_builds_one_eraser_per_distinct_index(monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The index of every Eraser() call while the test runs."""
+    indices = []
     new = Eraser.__new__
 
     def counting_new(cls, index):
-        built.append(index)
+        indices.append(index)
         return new(cls, index)
 
     monkeypatch.setattr(Eraser, "__new__", counting_new)
-    # 160,000 codes over three indices, then a dangling code
-    res = decode("0aba1abba" * 40_000 + "abbba" * 80_000 + "ab")
-    assert sorted(built) == [1, 2, 3]
+    return indices
+
+
+def test_decode_builds_one_eraser_per_distinct_index(built):
+    # 160,000 codes over three indices past the table, then a dangling code
+    k = coding._K
+    e1, e2, e3 = (Eraser(j) for j in range(k + 1, k + 4))
+    c1, c2, c3 = ("a" + "b" * j + "a" for j in range(k + 1, k + 4))
+    built.clear()
+    res = decode(("0" + c1 + "1" + c2) * 40_000 + c3 * 80_000 + "ab")
+    assert sorted(built) == [k + 1, k + 2, k + 3]
     assert len(res.symbols) == 240_000 and res.dangling == "ab"
-    assert res.symbols[:4] == (0, E1, 1, E2) and res.symbols[-1] == E3
+    assert res.symbols[:4] == (0, e1, 1, e2) and res.symbols[-1] == e3
+
+
+def test_a_text_coded_in_the_table_builds_no_eraser(built):
+    k = coding._K
+    codes = ["a" + "b" * j + "a" for j in range(1, k + 1)]
+    # every code of the table, then one dangling with as many b's as the
+    # last: no run of k + 1 b's
+    text = "0".join(codes) * 1000 + "1" + "a" + "b" * k
+    res = decode(text)
+    assert encode(res.symbols) + res.dangling == text
+    assert built == []
+    assert res.symbols[:3] == (E1, 0, E2)
+    assert res.symbols[-2:] == (Eraser(k), 1)
+    assert res.dangling == "a" + "b" * k
+
+
+def test_codes_agree_across_the_edge_of_the_table():
+    k = coding._K
+    alphabet = [0, 1, Eraser(k - 1), Eraser(k), Eraser(k + 1)]
+    prefixes = set()
+    for n in range(6):
+        for word in product(alphabet, repeat=n):
+            text = encode(word)
+            assert text == encode_by_hand(word), word
+            assert decode(text) == (word, "") == decode_by_hand(text), word
+            prefixes.update(text[:i] for i in range(len(text)))
+    # every prefix, so that dangling codes of k - 1 to k + 1 b's, and
+    # the runs of k + 1 b's of unfinished codes, are read too
+    for text in prefixes:
+        assert decode(text) == decode_by_hand(text), text
+
+
+def test_items_that_only_equal_a_symbol_keep_their_own_spelling():
+    # True == 1 and 1.0 == 1, but each is spelled as str spells it; 2 and
+    # "x" are past the table
+    assert encode((True, 0, E1, False, 1.0, 2, "x", 1)) == (
+        "True0abaFalse1.02x1")
+    assert encode((1, True, 0.0, 0, Eraser(coding._K + 1), 2)) == (
+        "1True0.00a" + "b" * (coding._K + 1) + "a2")
+    assert encode((2, 0)) == "20"
+    assert encode(("0", "aba")) == "0aba"
+
+
+def test_encode_reads_any_iterable_of_symbols():
+    far = Eraser(coding._K + 4)
+    for word in [(0, E1, 1), (E2, far, 1), (True, far), (far, 10 ** 30)]:
+        want = encode_by_hand(word)
+        assert encode(list(word)) == encode(iter(word)) == want, word
+        assert encode(sym for sym in word) == want, word
+
+
+@pytest.mark.parametrize("word", [
+    (0, Eraser(10 ** 20)),
+    (E1, True, Eraser(10 ** 20), Eraser(coding._K), 1),
+])
+def test_a_code_too_large_to_build_is_malformed_input(word):
+    with pytest.raises(MalformedInput,
+                       match="^eraser index 100000000000000000000 is too "
+                             "large to encode$"):
+        encode(word)
 
 
 @pytest.mark.parametrize("text, position", [

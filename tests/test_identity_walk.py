@@ -2,8 +2,8 @@
 
 The staged side: every prefix of length up to n of encode(s), over the
 staged words s with indices up to p on which stage one never starves.
-It is built here from oracles.staged_words, oracles.single_pass and an
-encoder of this file's own, with no budget and no pruning.
+It is built here from oracles.staged_words, oracles.single_pass and
+oracles.encode_by_hand, with no budget and no pruning.
 
 In the omega module each side is nothing but its one-token steps, and
 one class walk spells both, stopping at length n.  The literal sets
@@ -29,7 +29,7 @@ from eraserlang import (Eraser, MalformedInput, omega,
 from eraserlang.omega import (_OUT, _classes, _listed, _rp_steps,
                               _staged_steps)
 
-from oracles import decode_by_hand, single_pass, staged_words
+from oracles import decode_by_hand, encode_by_hand, single_pass, staged_words
 
 
 def viable_rp_prefixes(p, n):
@@ -43,11 +43,6 @@ def encoded_staged_prefixes(p, n):
     return _listed(partial(_staged_steps, p, n), n)
 
 
-def literal_encode(word):
-    return "".join("a" + "b" * s.index + "a" if isinstance(s, Eraser)
-                   else str(s) for s in word)
-
-
 def literal_image(p, max_n):
     """Each prefix of length up to max_n, of the encoding of any viable
     staged word.  A staged word of max_n symbols codes at least max_n
@@ -55,7 +50,7 @@ def literal_image(p, max_n):
     image = set()
     for word in staged_words(max_n, p):
         if single_pass(word, 1) is not None:
-            coded = literal_encode(word)
+            coded = encode_by_hand(word)
             image.update(coded[:i] for i in range(min(len(coded), max_n) + 1))
     return image
 

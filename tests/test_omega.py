@@ -23,6 +23,7 @@ from eraserlang import (
     factor_words,
     factorize,
     has_infinitely_many_ones,
+    in_block_stream,
     in_coded_erasure_ladder,
     in_erasure_ladder,
     is_factor,
@@ -241,6 +242,45 @@ def test_lasso_member_agrees_with_every_pair_search():
                 verdicts[got.status] += 1
     assert sum(verdicts.values()) == 115_600
     assert verdicts["yes"] == 1290
+
+
+def _identity_on(x, verdicts):
+    """The paper's identity on the infinite word x at p = 1, 2 and 3: x
+    lies in the omega power and is a block stream of order p exactly
+    when it lies in the coded ladder of order p.  A lasso found within
+    12 copies puts x in the omega power; where none is found, x must
+    lie outside the ladder."""
+    status = lasso_member(x, 12).status
+    for p in (1, 2, 3):
+        ladder = in_coded_erasure_ladder(x, p)
+        if status == "unknown":
+            assert not ladder, (x, p)
+        else:
+            assert (status == "yes" and in_block_stream(x, p)) == ladder, (
+                x, p)
+        verdicts["unknown" if status == "unknown" else ladder] += 1
+
+
+def test_the_omega_power_meets_the_block_streams_in_the_coded_ladder():
+    # every lasso u|v over 01ab with |u| <= 2 and 1 <= |v| <= 4
+    verdicts = {True: 0, False: 0, "unknown": 0}
+    for u in _coded_words(range(3)):
+        for v in _coded_words(range(1, 5)):
+            _identity_on(UPWord(u, v), verdicts)
+    assert verdicts == {True: 546, False: 20_604, "unknown": 270}
+    # the encodings of criterion 11's random staged lassos, whose
+    # members hold indices up to 3
+    rng = random.Random(501)
+    verdicts = {True: 0, False: 0, "unknown": 0}
+    for top in (1, 2, 3):
+        alphabet = [0, 1] + [Eraser(j) for j in range(1, top + 1)]
+        for _ in range(200):
+            prefix = tuple(rng.choice(alphabet)
+                           for _ in range(rng.randint(0, 3)))
+            period = tuple(rng.choice(alphabet)
+                           for _ in range(rng.randint(1, 4)))
+            _identity_on(encode_up(UPWord(prefix, period)), verdicts)
+    assert verdicts == {True: 265, False: 701, "unknown": 834}
 
 
 def refuse_eraser(self, index):
