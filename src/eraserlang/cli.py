@@ -17,7 +17,8 @@ A call also imports only the module of its command: this module takes
 nothing but ``words`` from the package at import and finds every other
 function by its public name on the package (``_lib``), whose lazy
 namespace loads the one module that defines it, so ``erase`` never
-loads ``staged``, ``coding`` or ``omega``.
+loads ``staged``, ``coding`` or ``omega``.  ``omega`` loads ``staged``
+only to build factor rows, so ``factor`` does not load it either.
 
 One builder, ``_run``, makes the run of every command but ``theta``
 and ``verify-rp``: it reads the word with the row's parser (or the
@@ -30,12 +31,20 @@ A word given as ``-`` is read from stdin, with one trailing newline
 dropped.  ``viable`` reads it as a stream of 64 KiB reads, each checked
 as it comes, so its memory stays flat however long the word; every
 other command reads it whole and then runs as on an argument.
+
+The ``eraserlang`` script and ``python -m eraserlang.cli`` run
+``console``, which flushes stdout and stderr once ``main`` returns and
+ends the process with ``os._exit``, skipping the interpreter teardown
+that would free every object.  A flush that fails, as on a closed
+pipe, exits through ``sys.exit``, so the interpreter reports it as
+before.  ``main`` returns its code to callers in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import os
 import sys
 from functools import partial
 
@@ -343,5 +352,19 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console() -> None:
+    """Exit with the code of main once the output is flushed, skipping
+    the teardown that frees every object, about an eighth of a short call.
+    A flush that fails, as on a closed pipe, exits through sys.exit, so
+    that the interpreter reports it as it always has."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # a stream None or its pipe closed
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -34,7 +34,6 @@ from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
 from .eraser import _stages, staged_erase_up
 from .coding import _coded, _stage_one, _tokenize, decode_up, encode
-from .staged import _vanishing_rows
 
 
 # ---------------------------------------------------------------- pads
@@ -86,6 +85,11 @@ def factorize(word: str) -> Factorization:
     these needs a test: each eraser is spent at its own stage, popping
     or starving, so only letters survive, and the final 1, checked
     first, has nothing after it to pop it.
+
+    No cut is final before the word ends: ``1``^k is k factors, yet
+    ``1``^k (``aba``)^k ``1`` is one, its ``aba``s erasing the ``1``s.
+    The deciphering delay of the factor code is unbounded, so no reader
+    can emit a cut until it has seen the whole word.
     """
     if not word:
         return Factorization(1, (0,))
@@ -549,10 +553,12 @@ def _grow(n: int) -> None:
     sliced out of their packed rows.  The pairs are joined at C speed,
     and the row is sorted and joined once.
     """
+    from . import staged  # here, so that only the enumeration loads it
+
     with _GROWING:  # so that no row is built twice
         for m in range(len(_PADS), n):
             # only the walk's last row lives on into the sort
-            pads = "".join(sorted(map(encode, _vanishing_rows(
+            pads = "".join(sorted(map(encode, staged._vanishing_rows(
                 m - 2, _coded_length, m)[m])))
             words = [pad + "1" for pad in _row_words(pads, m)]
             for k in range(m):

@@ -158,6 +158,42 @@ def factor_rows(max_len):
         i += 1
 
 
+def sardinas_patterson(words):
+    """Sardinas-Patterson over a finite set of words: the number of
+    rounds whose set of dangling suffixes is nonempty, or None when a
+    dangling suffix is itself a word of the set, that is, when the set
+    is not a code.
+
+    Round 1 holds v for each pair of words u and uv; round i + 1 holds v
+    for each s of round i and word u with s = uv or u = sv.  Every
+    dangling suffix is a suffix of a word, so the rounds empty out or
+    repeat; rounds that repeat, and so never empty out, count as
+    infinity.
+    """
+    code = set(words)
+    # each proper prefix of a word, to the suffixes that complete it
+    rests = {}
+    for w in code:
+        for k in range(1, len(w)):
+            rests.setdefault(w[:k], set()).add(w[k:])
+    dangling = set()
+    for u in code:
+        dangling |= rests.get(u, set())
+    seen = []
+    while dangling:
+        if dangling & code:
+            return None
+        if dangling in seen:
+            return float("inf")
+        seen.append(dangling)
+        after = set()
+        for s in dangling:
+            after |= {s[k:] for k in range(1, len(s)) if s[:k] in code}
+            after |= rests.get(s, set())
+        dangling = after
+    return len(seen)
+
+
 def concat_members(rows, total_len):
     """All nonempty factor concatenations up to total_len, by length."""
     members = {n: set(rows.get(n, ())) for n in range(total_len + 1)}

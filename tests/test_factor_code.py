@@ -1,20 +1,25 @@
-"""The factor language is a code, checked by brute force.
+"""The factor language is a code, checked by brute force and by
+Sardinas-Patterson.
 
 factorize reads its one decomposition off a single pipeline run, so it
 cannot report two; the oracle here counts every split into
 (pad 0)* (pad 1) factors instead.  It has its own literal decoder,
 decides pads with oracles.pipeline and uses nothing of the omega module.
+Sardinas-Patterson reads only the listing of the factors, and decides
+for concatenations of any length that each slice of it is a code.
 """
 
 import re
 from functools import cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from eraserlang import Eraser, factorize, nth_factor, viable_prefix
+from eraserlang import (Eraser, factor_words, factorize, nth_factor,
+                        viable_prefix)
 
-from oracles import pipeline
+from oracles import pipeline, sardinas_patterson
 
 _CODED = re.compile(r"(?:[01]|ab+a)*")
 _SYMBOL = re.compile(r"[01]|ab+a")
@@ -133,3 +138,26 @@ def test_viable_prefix_matches_the_split_definition():
     _, viable = split_oracle()
     for word in coded_words(7):
         assert viable_prefix(word) == viable(word), word
+
+
+def test_sardinas_patterson_examples():
+    assert sardinas_patterson(["1", "01", "001"]) == 0  # prefix-free
+    assert sardinas_patterson(["1", "1aba1"]) == 1
+    assert sardinas_patterson(["a", "ab", "bb"]) == float("inf")
+    assert sardinas_patterson(["a", "ab", "b"]) is None  # ab = a b
+
+
+def test_each_slice_of_the_factors_is_a_code():
+    # the rounds grow with n, as the deciphering delay is unbounded
+    rounds = [sardinas_patterson(factor_words(n)) for n in range(5, 17)]
+    assert rounds == [1] * 4 + [2] * 4 + [3] * 4
+    words = factor_words(16)
+    assert sardinas_patterson(words + [words[0] + words[-1]]) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 50])
+def test_no_cut_is_final_before_the_word_ends(k):
+    # 1^k is k factors, yet 1^k (aba)^k 1 is one
+    assert factorize("1" * k).cuts == tuple(range(k + 1))
+    word = "1" * k + "aba" * k + "1"
+    assert factorize(word).cuts == (0, len(word))

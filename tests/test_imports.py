@@ -106,6 +106,7 @@ HELP = ["cli", "words"]
 ERASER = HELP + ["eraser"]
 CODING = HELP + ["coding"]
 STAGED = HELP + ["eraser", "staged"]
+OMEGA = HELP + ["coding", "eraser", "omega"]  # staged only to build rows
 EVERY = HELP + ["coding", "eraser", "omega", "staged"]
 
 
@@ -123,18 +124,18 @@ EVERY = HELP + ["coding", "eraser", "omega", "staged"]
     (["member", "lk", "0 E1", "--k", "1"], STAGED),
     (["member", "l1-grammar", "0 E1"], STAGED),
     (["enumerate", "lk", "--k", "1", "--max-len", "2"], STAGED),
-    (["factor", "11"], EVERY),
-    (["viable", "0ab"], EVERY),
-    (["lasso", "|01", "--bound", "2"], EVERY),
+    (["factor", "11"], OMEGA),
+    (["viable", "0ab"], OMEGA),
+    (["lasso", "|01", "--bound", "2"], OMEGA),
     (["theta", "3"], EVERY),
     (["dcheck", "01", "01"], EVERY),
-    (["verify-rp", "--p", "1", "--n", "3"], EVERY),
+    (["verify-rp", "--p", "1", "--n", "3"], OMEGA),
     (["enumerate", "hv", "--max-len", "2"], EVERY),
-    (["member", "hv", "0aba1"], EVERY),
-    (["member", "lscript", "0aba"], EVERY),
-    (["member", "r", "|01"], EVERY),
-    (["member", "r-approx", "|1 0 E1", "--p", "1"], EVERY),
-    (["member", "encoded-r-approx", "|0aba1", "--p", "1"], EVERY),
+    (["member", "hv", "0aba1"], OMEGA),
+    (["member", "lscript", "0aba"], OMEGA),
+    (["member", "r", "|01"], OMEGA),
+    (["member", "r-approx", "|1 0 E1", "--p", "1"], OMEGA),
+    (["member", "encoded-r-approx", "|0aba1", "--p", "1"], OMEGA),
 ])
 def test_a_command_loads_only_its_modules(argv, modules):
     last = run("-c", MODULES, *argv).decode().splitlines()[-1]

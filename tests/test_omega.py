@@ -549,18 +549,18 @@ def test_enumeration_lookups_agree_across_threads():
     code = """if True:
         import json, random, sys, threading
         sys.setswitchinterval(1e-6)
-        import eraserlang.omega as omega
+        import eraserlang.staged as staged
         from eraserlang import factor_index, nth_factor
         from eraserlang.omega import _ROWS, _STARTS
 
         walks = []
-        walk = omega._vanishing_rows
+        walk = staged._vanishing_rows
 
         def counted(*args):
             walks.append(args)
             return walk(*args)
 
-        omega._vanishing_rows = counted
+        staged._vanishing_rows = counted
 
         def run(seed, out):
             order = list(range(1193))
