@@ -4,7 +4,8 @@ One subcommand per library operation, deterministic text output.
 Membership queries print "true" or "false"; evaluations print
 "undefined", "finite: <word>" or "infinite: <prefix>|<period>".
 Exit status 0 on success, 2 on malformed input or an unwritable report
-path (diagnostic on the error stream), 1 on internal failure.
+path (diagnostic on the error stream), 1 on internal failure (with a
+traceback) or on output to a pipe whose reader has gone (silently).
 
 Every command is one row of the table ``_COMMANDS``: its help text, its
 arguments and the run that answers it.  ``member`` and ``enumerate``
@@ -35,9 +36,9 @@ other command reads it whole and then runs as on an argument.
 The ``eraserlang`` script and ``python -m eraserlang.cli`` run
 ``console``, which flushes stdout and stderr once ``main`` returns and
 ends the process with ``os._exit``, skipping the interpreter teardown
-that would free every object.  A flush that fails, as on a closed
-pipe, exits through ``sys.exit``, so the interpreter reports it as
-before.  ``main`` returns its code to callers in process.
+that would free every object.  A pipe whose reader has gone, met while
+``main`` writes or by the flush, ends the call with status 1 and
+nothing on stderr.  ``main`` returns its code to callers in process.
 """
 
 from __future__ import annotations
@@ -355,14 +356,17 @@ def main(argv: list[str] | None = None) -> int:
 def console() -> None:
     """Exit with the code of main once the output is flushed, skipping
     the teardown that frees every object, about an eighth of a short call.
-    A flush that fails, as on a closed pipe, exits through sys.exit, so
-    that the interpreter reports it as it always has."""
-    code = main()
+    A closed pipe, met while main writes or by the flush, ends the call
+    with status 1 and nothing on stderr, as a tool ends on EPIPE; any
+    other error, from main or the flush, reaches the interpreter, which
+    prints its traceback."""
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (AttributeError, OSError):  # a stream None or its pipe closed
-        sys.exit(code)
+        code = main()
+        for stream in sys.stdout, sys.stderr:
+            if stream is not None:  # None for a stream closed at start
+                stream.flush()
+    except BrokenPipeError:  # the reader has gone: nothing more to say
+        code = 1
     os._exit(code)
 
 

@@ -16,9 +16,11 @@ and the code copies included: it splits the text into tokens, reads
 stage one off it (``_stage_one``) and maps each code token to one copy
 of its code (``_coded``), which the other coded queries hand the stage
 engine with the copies in stage order; only ``decode`` builds symbols.
-The one exception is the order-p block scanner of the intersection
-identity check in ``omega``, which reads a letter at a time: that check
-compares it against encoded tokens, so it shares no rule with them.
+The one exception is ``omega._rp_key``, the letter rule of the
+intersection side of the identity check, which reads order-p blocks a
+letter at a time: that check compares it against encoded tokens, so it
+shares no rule with them.  ``_coded_length`` gives the pad walk of the
+factor enumeration the length of a symbol's code, from this module too.
 
 One table, ``_TABLE``, holds the symbols and their codes both ways: the
 letters and Eraser(1) to Eraser(_K).  ``_K`` is 16, fixed by what the
@@ -79,6 +81,11 @@ def _spelled(sym) -> str:
     if type(sym) is Eraser:
         return ALPHA + BETA * sym.index + ALPHA
     return str(sym)
+
+
+def _coded_length(sym) -> int:
+    """The length of a symbol's code, counted without building it."""
+    return sym.index + 2 if type(sym) is Eraser else 1
 
 
 # the symbol table, both ways: each letter and each code up to _K to its

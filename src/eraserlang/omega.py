@@ -30,10 +30,11 @@ from collections.abc import Iterable, Iterator
 from functools import cache, partial
 from itertools import accumulate, chain, compress, count, product
 
-from .words import (Eraser, MalformedInput, UPWord, parse_binary, parse_coded,
+from .words import (MalformedInput, UPWord, parse_binary, parse_coded,
                     up_prefix)
 from .eraser import _stages, staged_erase_up
-from .coding import _coded, _stage_one, _tokenize, decode_up, encode
+from .coding import (_coded, _coded_length, _stage_one, _tokenize, decode_up,
+                     encode)
 
 
 # ---------------------------------------------------------------- pads
@@ -228,8 +229,9 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # lists each string of at most room letters that takes a class (_OUT, d)
 # outside a code to the next class outside one (a whole token) or stops
 # inside a code, with the class it lands on.  The intersection side
-# searches its steps over its rules, _rp_key; the staged side reads them
-# off the encoded tokens.
+# searches its steps over its one letter rule, _rp_key, which scans the
+# order-p blocks and counts the depth in the same branch; the staged
+# side reads them off the encoded tokens.
 #
 # One walk, _classes, spells either side from its steps.  It goes length
 # by length over the classes of words, asks once per class outside a
@@ -249,26 +251,11 @@ def in_coded_erasure_ladder(x: UPWord, p: int) -> bool:
 # stands for any (see verify_intersection_identity).  The walk only
 # serves a report.
 
-_OUT = -1  # scanner state: outside any code; n >= 0 means inside with n betas
+_OUT = -1  # scanner state: outside any code; n >= 0 means inside with n b's
 
 
 def _merge(classes: dict, key: tuple, value) -> None:
     classes[key] = classes[key] + value if key in classes else value
-
-
-def _scan_step(state: int, ch: str, p: int) -> int | None:
-    """Advance the order-p block scanner by one character; None rejects."""
-    if state == _OUT:
-        if ch == "0" or ch == "1":
-            return _OUT
-        if ch == "a":
-            return 0
-        return None  # beta outside a code
-    if ch == "b":
-        return state + 1 if state + 1 <= p else None
-    if ch == "a":
-        return _OUT if state >= 1 else None  # empty codes are not blocks
-    return None  # letter inside a code
 
 
 def _rp_key(p: int, key: tuple, ch: str) -> tuple | None:
@@ -276,22 +263,27 @@ def _rp_key(p: int, key: tuple, ch: str) -> tuple | None:
     letter ch, or None once it leaves the intersection.
 
     A class is the scanner state and the stage-one depth (the survivor
-    count).  Every live scanner state can be completed to a full stream,
-    so the depth is all viable_prefix asks about: no index-1 eraser may
-    meet depth 0.  Under p = 1 a dangling code can only complete to an
-    index-1 eraser, so it needs depth 1 or more.
+    count).  The scanner reads order-p blocks a letter at a time: a
+    letter outside a code, or a code a b^j a with 1 <= j <= p.  Every
+    live scanner state can be completed to a full stream, so the depth
+    is all viable_prefix asks about: no index-1 eraser may meet depth 0.
+    Under p = 1 a dangling code can only complete to an index-1 eraser,
+    so it needs depth 1 or more.
     """
     state, depth = key
-    nxt = _scan_step(state, ch, p)
-    if nxt is None:
+    if state == _OUT:
+        if ch != "a":  # a letter; a b outside a code is no block
+            return (_OUT, depth + 1) if ch == "0" or ch == "1" else None
+        state = 0  # a code opens
+    elif ch == "b" and state < p:  # one b more, up to p
+        state += 1
+    elif ch == "a" and state >= 1:  # a nonempty code closes
+        if state != 1:  # an index >= 2 eraser
+            return (_OUT, depth + 1)
+        return (_OUT, depth - 1) if depth else None  # an index-1 eraser
+    else:  # an empty code, a b past p, or a letter inside a code
         return None
-    if nxt != _OUT:  # inside a code
-        return None if p == 1 and depth == 0 else (nxt, depth)
-    if state != 1:  # a letter or an index >= 2 eraser
-        return (nxt, depth + 1)
-    if depth:  # an index-1 eraser
-        return (nxt, depth - 1)
-    return None
+    return None if p == 1 and depth == 0 else (state, depth)
 
 
 def _rp_steps(p: int, room: int, depth: int) -> list:
@@ -439,31 +431,31 @@ def verify_intersection_identity(p: int, n: int,
     The b count of a step, its code index, stands for every larger one
     in the same way.  A step is a letter, a stop a b^i landing in state
     i, or a code a b^j a landing outside, and each side reads p, n and
-    the b count only through a few tests: the scanner through
-    `state + 1 <= p` and `state >= 1`, _rp_key through `state != 1` and
-    `p == 1`, the search through the room; _staged_steps through
-    `j > 1`, `p >= 2`, min(p, room - 1) and the room against a code's
-    length j + 2.  Each of three moves keeps the outcome of every test
-    at depths 0 and 1, so it leaves both sides' steps, and the verdict,
-    as they were:
+    the b count only through a few tests: _rp_key through `state < p`,
+    `state >= 1`, `state != 1` and `p == 1`, and the search over it
+    through the room; _staged_steps through `j > 1`, `p >= 2`,
+    min(p, room - 1) and the room against a code's length j + 2.  Each
+    of three moves keeps the outcome of every test at depths 0 and 1,
+    so it leaves both sides' steps, and the verdict, as they were:
 
     * p past the room.  The search adds a b only to a stop shorter than
-      the room, so the scanner never compares p with more than n - 1,
-      and min(p, room - 1) is room - 1 once p >= n.  So p may drop to
-      max(n, 2), which keeps `p == 1` and `p >= 2`.
+      the room, so `state < p` never meets a state past n - 2 and holds
+      for every p >= n - 1, and min(p, room - 1) is room - 1 once
+      p >= n.  So p may drop to max(n, 2), which keeps `p == 1` and
+      `p >= 2`.
     * n past the codes.  No step has more than p b's, so none has more
       than p + 2 letters, and rooms n and n - 1 of at least p + 2 cut
       none.  So n may drop to p + 3.
     * Index shift, p >= 3 and n >= 6.  A step with at most two b's has
       at most four letters, within the rooms at (p, n) and at
-      (p - 1, n - 1), and its scanner tests 1 <= p and 2 <= p hold at
-      p - 1 >= 2 too: it is a step at both or at neither.  A step with
-      j >= 3 b's is a step at (p, n) exactly when the same step with
-      j - 1 b's is one at (p - 1, n - 1), a stop landing one state
-      lower and a code on the same class: `state >= 1`, `state != 1`
-      and `j > 1` hold for both counts, while `state + 1 <= p`, the
-      length and the room all move by one.  So on each side the steps
-      at (p, n) are the same one-to-one image of those at
+      (p - 1, n - 1), and its tests `state < p`, at states 0 and 1,
+      hold at p - 1 >= 2 too: it is a step at both or at neither.  A
+      step with j >= 3 b's is a step at (p, n) exactly when the same
+      step with j - 1 b's is one at (p - 1, n - 1), a stop landing one
+      state lower and a code on the same class: `state >= 1`,
+      `state != 1` and `j > 1` hold for both counts, while `state < p`,
+      the length and the room all move by one.  So on each side the
+      steps at (p, n) are the same one-to-one image of those at
       (p - 1, n - 1), and the sides agree at one exactly when they agree
       at the other.
 
@@ -569,11 +561,6 @@ def _grow(n: int) -> None:
             _ROWS.append(row := "".join(sorted(words)))
             _PADS.append(pads)
             _STARTS.append(_STARTS[-1] + len(row) // (m + 1))
-
-
-def _coded_length(sym) -> int:
-    """The length of a symbol's code, counted without building it."""
-    return sym.index + 2 if type(sym) is Eraser else 1
 
 
 def _row_words(row: str, n: int) -> Iterator[str]:

@@ -239,3 +239,40 @@ def sigma_blocks(text):
             counts.append(zeros)
             zeros = 0
     return counts, zeros
+
+
+OUT = -1  # scanner state outside any code; n >= 0 is inside with n b's
+
+
+def scan_step(state, ch, p):
+    """The order-p block scanner on its own: the state after one more
+    character, or None where no order-p block stream can go on."""
+    if state == OUT:
+        if ch == "0" or ch == "1":
+            return OUT
+        if ch == "a":
+            return 0
+        return None  # b outside a code
+    if ch == "b":
+        return state + 1 if state + 1 <= p else None
+    if ch == "a":
+        return OUT if state >= 1 else None  # empty codes are not blocks
+    return None  # letter inside a code
+
+
+def rp_key(p, key, ch):
+    """The class (scanner state, stage-one depth) of an intersection word
+    of class key extended by ch, or None: the scanner's step first, then
+    the depth, which an index-1 eraser lowers and any other token raises,
+    and which a code left open under p = 1 needs to be 1 or more."""
+    state, depth = key
+    nxt = scan_step(state, ch, p)
+    if nxt is None:
+        return None
+    if nxt != OUT:  # inside a code
+        return None if p == 1 and depth == 0 else (nxt, depth)
+    if state != 1:  # a letter or an index >= 2 eraser
+        return (nxt, depth + 1)
+    if depth:  # an index-1 eraser
+        return (nxt, depth - 1)
+    return None

@@ -29,6 +29,7 @@ from eraserlang import (Eraser, MalformedInput, omega,
 from eraserlang.omega import (_OUT, _classes, _listed, _rp_steps,
                               _staged_steps)
 
+import oracles
 from oracles import decode_by_hand, encode_by_hand, single_pass, staged_words
 
 
@@ -230,6 +231,31 @@ def test_memory_stays_flat_in_the_length():
     assert peak < 8 * 10 ** 6
 
 
+# ------------------------------- one letter rule for the intersection
+#
+# _rp_key scans the order-p blocks and counts the stage-one depth in one
+# branch.  oracles.rp_key runs the two apart, the scanner first; every
+# class and letter below must get the same answer from both, including
+# the classes no walk reaches, such as a code grown at depth 0 under
+# p = 1, which the verdict cannot see.
+
+def scanner_states(p):
+    """Every scanner state from _OUT to p + 1, or under a huge p those
+    next to either end."""
+    if p <= 5:
+        return range(_OUT, p + 2)
+    return [*range(_OUT, 5), *range(p - 2, p + 2)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 10 ** 9])
+def test_the_letter_rule_is_the_scanner_then_the_depth(p):
+    assert oracles.OUT == _OUT
+    for state, depth, ch in product(scanner_states(p), range(4), "01abx"):
+        key = (state, depth)
+        assert omega._rp_key(p, key, ch) == oracles.rp_key(p, key, ch), (
+            p, key, ch)
+
+
 # ----------------------------------- the verdict is a local step check
 #
 # Without a report no count is taken, so each fault below must fail the
@@ -388,22 +414,62 @@ def test_the_clamp_keeps_a_uniform_fault_in_sight(monkeypatch, fault):
                for (p, n), verdict in reference.items())
 
 
-def test_a_fault_at_depth_3_breaks_the_shift(monkeypatch, tmp_path):
-    """An index-1 eraser refused at depth 3 alone: the steps at depths 0
-    and 1 stay equal, so the pin and a report's counts must catch it."""
-    rp_key = omega._rp_key
-
+def refusing_at_depth_3(rp_key):
+    """rp_key, but refusing an index-1 eraser that closes at depth 3."""
     def strict(p, key, ch):
         if key == (1, 3) and ch == "a":
             return None
         return rp_key(p, key, ch)
+    return strict
 
-    monkeypatch.setattr(omega, "_rp_key", strict)
+
+def test_a_fault_at_depth_3_breaks_the_shift(monkeypatch, tmp_path):
+    """An index-1 eraser refused at depth 3 alone: the steps at depths 0
+    and 1 stay equal, so the pin and a report's counts must catch it."""
+    monkeypatch.setattr(omega, "_rp_key", refusing_at_depth_3(omega._rp_key))
     assert not all_depths_verdict(2, 9)
     assert ("intersection", 3, 3) in shift_breaks(2)
     report = tmp_path / "report.txt"
     assert not verify_intersection_identity(2, 9, report_path=str(report))
     assert report.read_text().splitlines()[1] == "result: FAIL"
+
+
+def closes_eraser_1_at_depth_3(word):
+    """Does the coded word hold a whole aba read at stage-one depth 3?
+    Counted literally over decode_by_hand's symbols."""
+    depth = 0
+    for sym in decode_by_hand(word)[0]:
+        if sym == Eraser(1):
+            if depth == 3:
+                return True
+            depth -= 1
+        else:
+            depth += 1
+    return False
+
+
+@pytest.mark.parametrize("p, n", [(1, 7), (2, 7)])
+def test_a_failed_report_lists_the_literal_differences(monkeypatch,
+                                                       tmp_path, p, n):
+    """With the depth-3 fault the intersection side loses exactly the
+    literal intersection words that close an index-1 eraser at depth 3,
+    and the report names each of them, and nothing else, line by line."""
+    monkeypatch.setattr(omega, "_rp_key", refusing_at_depth_3(omega._rp_key))
+    faulty = {w for w in literal_intersection(p, n)
+              if not closes_eraser_1_at_depth_3(w)}
+    image = literal_image(p, n)
+    assert image - faulty and not faulty - image
+    report = tmp_path / "report.txt"
+    assert not verify_intersection_identity(p, n, report_path=str(report))
+    lines = report.read_text().splitlines()
+    assert lines[1:3] == [
+        "result: FAIL",
+        f"intersection side: {len(faulty)} words, "
+        f"encoded staged side: {len(image)} words"]
+    assert lines[3:] == (
+        [f"only in intersection side: {w}" for w in sorted(faulty - image)]
+        + [f"only in encoded staged side: {w}"
+           for w in sorted(image - faulty)])
 
 
 def test_a_billion_letters_pass_at_once():
